@@ -200,6 +200,7 @@ type Engine struct {
 	verifiers map[*sem.Instr]*verifier
 	synths    map[*sem.Instr]*synthCtx
 	cexes     map[*sem.Instr]*cexCache
+	seeds     map[*sem.Instr][][]uint64 // see seedTests
 
 	// Solver-effort aggregation for SolverStats: persistent solvers are
 	// tracked live, transient ones folded into retired on disposal.
@@ -218,6 +219,7 @@ func New(ops []*sem.Instr, cfg Config) *Engine {
 		verifiers: make(map[*sem.Instr]*verifier),
 		synths:    make(map[*sem.Instr]*synthCtx),
 		cexes:     make(map[*sem.Instr]*cexCache),
+		seeds:     make(map[*sem.Instr][][]uint64),
 	}
 }
 
@@ -262,10 +264,23 @@ func nameSalt(name string) int64 {
 	return int64(h.Sum64())
 }
 
-// seedTests builds the initial test-case set for a goal: zeros, all
-// ones, and deterministic pseudorandom vectors.
+// seedTests returns the initial test-case set for a goal. Seeding
+// math/rand costs more than a small multiset's whole enumeration, so
+// the set is built once per goal and shared by every multiset: callers
+// must not modify it.
 func (e *Engine) seedTests(goal *sem.Instr) [][]uint64 {
-	rng := rand.New(rand.NewSource(e.cfg.Seed ^ nameSalt(goal.Name)))
+	tcs, ok := e.seeds[goal]
+	if !ok {
+		tcs = newSeedTests(e.cfg, goal)
+		e.seeds[goal] = tcs
+	}
+	return tcs
+}
+
+// newSeedTests builds a goal's seed test set: zeros, all ones, and
+// deterministic pseudorandom vectors.
+func newSeedTests(cfg Config, goal *sem.Instr) [][]uint64 {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ nameSalt(goal.Name)))
 	n := len(goal.Args)
 	var out [][]uint64
 	zero := make([]uint64, n)
@@ -275,7 +290,7 @@ func (e *Engine) seedTests(goal *sem.Instr) [][]uint64 {
 		ones[i] = ^uint64(0)
 	}
 	out = append(out, ones)
-	for len(out) < e.cfg.InitialTests {
+	for len(out) < cfg.InitialTests {
 		tc := make([]uint64, n)
 		for i := range tc {
 			tc[i] = rng.Uint64()

@@ -2,6 +2,7 @@ package cegis
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -293,6 +294,26 @@ func TestSeedTestsDivergePerGoal(t *testing.T) {
 				t.Fatalf("seed tests not deterministic")
 			}
 		}
+	}
+}
+
+// TestSeedTestsCachedAndUnmodified: a goal's seed vectors are built
+// once and shared by every multiset, so after a whole synthesis run
+// they must still be the cached slice and equal a fresh build.
+func TestSeedTestsCachedAndUnmodified(t *testing.T) {
+	e := testEngine(t, 2)
+	add := x86.AddInstr()
+	first := e.seedTests(add)
+	if _, err := e.SynthesizeAllSizes(add); err != nil {
+		t.Fatal(err)
+	}
+	cached := e.seedTests(add)
+	if &cached[0] != &first[0] {
+		t.Fatalf("seed tests were rebuilt instead of cached")
+	}
+	fresh := newSeedTests(e.cfg, add)
+	if !reflect.DeepEqual(cached, fresh) {
+		t.Fatalf("cached seed tests %v differ from a fresh build %v: a caller modified them", cached, fresh)
 	}
 }
 

@@ -39,6 +39,87 @@ func BenchmarkPigeonhole7x6(b *testing.B) {
 	}
 }
 
+// mulMiterCNF is a width-w multiplier commutativity miter in Tseitin
+// CNF: two shift-and-add multipliers compute a·b and b·a (mod 2^w) and
+// a final clause demands that some output bit differs. It is
+// unsatisfiable, and the search is dominated by unit propagation
+// through the adder chains, like the bit-blasted synthesis queries.
+func mulMiterCNF(w int) *cnf {
+	c := &cnf{name: "mul-miter"}
+	fresh := func() Lit { c.nvars++; return MkLit(Var(c.nvars-1), false) }
+	add := func(ls ...Lit) { c.clause = append(c.clause, ls) }
+	and := func(x, y Lit) Lit {
+		o := fresh()
+		add(o.Not(), x)
+		add(o.Not(), y)
+		add(o, x.Not(), y.Not())
+		return o
+	}
+	or := func(x, y Lit) Lit {
+		o := fresh()
+		add(o, x.Not())
+		add(o, y.Not())
+		add(o.Not(), x, y)
+		return o
+	}
+	xor := func(x, y Lit) Lit {
+		o := fresh()
+		add(o.Not(), x, y)
+		add(o.Not(), x.Not(), y.Not())
+		add(o, x.Not(), y)
+		add(o, x, y.Not())
+		return o
+	}
+	mul := func(x, y []Lit) []Lit {
+		acc := make([]Lit, w)
+		for j := range acc {
+			acc[j] = and(x[j], y[0])
+		}
+		for i := 1; i < w; i++ {
+			var carry Lit
+			for j := i; j < w; j++ {
+				pp := and(x[j-i], y[i])
+				sum := xor(acc[j], pp)
+				if j == i {
+					carry = and(acc[j], pp)
+				} else {
+					sum, carry = xor(sum, carry), or(and(acc[j], pp), and(sum, carry))
+				}
+				acc[j] = sum
+			}
+		}
+		return acc
+	}
+	a, b := make([]Lit, w), make([]Lit, w)
+	for i := range a {
+		a[i], b[i] = fresh(), fresh()
+	}
+	p, q := mul(a, b), mul(b, a)
+	var diff []Lit
+	for i := range p {
+		diff = append(diff, xor(p[i], q[i]))
+	}
+	add(diff...)
+	return c
+}
+
+// BenchmarkPropagateTseitin times the SAT core alone on the width-8
+// multiplier miter and reports its propagation rate.
+func BenchmarkPropagateTseitin(b *testing.B) {
+	inst := mulMiterCNF(8)
+	var props int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := inst.solver()
+		st, err := s.Solve(Options{})
+		if err != nil || st != Unsat {
+			b.Fatalf("got %v %v", st, err)
+		}
+		props += s.Stats.Propagations
+	}
+	b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
+}
+
 func BenchmarkRandom3SAT(b *testing.B) {
 	// Planted satisfiable instances at clause ratio 4.0.
 	rng := rand.New(rand.NewSource(5))

@@ -118,20 +118,19 @@ func (s *Solver) takeSnapshot() *snapshot {
 		polarity: append([]bool(nil), s.polarity...),
 	}
 	for _, cref := range s.clauses {
-		c := &s.arena[cref]
-		if c.deleted {
+		if s.isDeleted(cref) {
 			continue
 		}
-		sn.clauses = append(sn.clauses, append([]Lit(nil), c.lits...))
+		sn.clauses = append(sn.clauses, append([]Lit(nil), s.clauseLits(cref)...))
 	}
 	// Short learnt clauses are consequences of the CNF and give every
 	// worker the probe's distilled knowledge for free.
 	for _, cref := range s.learnts {
-		c := &s.arena[cref]
-		if c.deleted || len(c.lits) > MaxSharedLen {
+		lits := s.clauseLits(cref)
+		if s.isDeleted(cref) || len(lits) > MaxSharedLen {
 			continue
 		}
-		sn.warm = append(sn.warm, append([]Lit(nil), c.lits...))
+		sn.warm = append(sn.warm, append([]Lit(nil), lits...))
 	}
 	return sn
 }

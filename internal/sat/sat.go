@@ -13,6 +13,7 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -26,7 +27,9 @@ type Var int
 
 // Lit is a literal: variable 2*v for the positive phase, 2*v+1 for the
 // negative phase. The zero value is the positive literal of variable 0.
-type Lit int
+// Literals are 32-bit so the clause arena, the trail and the watch lists
+// pack twice as many per cache line.
+type Lit int32
 
 // MkLit builds a literal from a variable and a sign (true = negated).
 func MkLit(v Var, neg bool) Lit {
@@ -62,13 +65,6 @@ const (
 	lTrue
 	lFalse
 )
-
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
 
 // Status is the result of a Solve call.
 type Status int
@@ -129,21 +125,37 @@ const (
 	RestartGeometric
 )
 
-// clause is a disjunction of literals. Learnt clauses carry an activity
-// for the reduction heuristic.
-type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
-	deleted  bool
-}
+// Clauses live inline in one flat []Lit arena (see DESIGN.md, "SAT core
+// memory layout"). A clause reference (cref) is the arena index of its
+// header word: the literal count shifted left by hdrShift, OR'd with the
+// hdrLearnt and hdrDeleted bits. The next word is a learnt clause's index
+// into Solver.act, its activity for the reduction heuristic (unused, and
+// 0, for problem clauses). The literals follow. Clauses are never moved
+// or freed before Recycle, so a cref stays valid for the solver's life.
+//
+// Propagation keeps a long clause's implied literal first, but never
+// touches a binary clause's literals, so a binary reason's implied
+// literal may sit second: reasonLits and locked find it by variable.
+const (
+	hdrLearnt  = 1
+	hdrDeleted = 2
+	hdrShift   = 2
+	// hdrWords is the number of arena words before a clause's literals.
+	hdrWords = 2
+)
 
 // watcher pairs a watched clause with a "blocker" literal whose truth
-// makes visiting the clause unnecessary.
+// makes visiting the clause unnecessary. cw packs the clause reference
+// with a binary-clause flag in bit 0. A binary clause's blocker is
+// always its other literal, so it propagates from the watcher alone,
+// without touching the arena.
 type watcher struct {
-	cref    int
+	cw      uint32 // cref<<1 | 1 if the clause is binary
 	blocker Lit
 }
+
+func (w watcher) cref() int32  { return int32(w.cw >> 1) }
+func (w watcher) binary() bool { return w.cw&1 != 0 }
 
 // Options configure a Solve call. The zero value means "no limits" and
 // reproduces the classic deterministic search (phase saving, Luby
@@ -202,9 +214,10 @@ type Stats struct {
 // NewVar and clauses with AddClause, then call Solve. A solver may be
 // reused for multiple Solve calls (incremental solving under assumptions).
 type Solver struct {
-	clauses []int // indices of problem clauses in arena
-	learnts []int // indices of learnt clauses in arena
-	arena   []clause
+	clauses []int32   // crefs of problem clauses
+	learnts []int32   // crefs of learnt clauses
+	arena   []Lit     // inline clause store (see hdrWords)
+	act     []float64 // learnt clause activities, indexed by the arena's id word
 
 	watches [][]watcher // watches[lit] = clauses watching lit
 
@@ -212,9 +225,9 @@ type Solver struct {
 	// lFalse if false, lUndef if unassigned. Both phases are written on
 	// every assignment so value() is a single array read.
 	assignLit []lbool
-	polarity  []bool // saved phase per variable
-	level     []int  // decision level per variable
-	reason    []int  // antecedent clause per variable (-1 = decision)
+	polarity  []bool  // saved phase per variable
+	level     []int   // decision level per variable
+	reason    []int32 // antecedent cref per variable (-1 = decision)
 
 	trail    []Lit
 	trailLim []int // trail index per decision level
@@ -229,9 +242,8 @@ type Solver struct {
 	ok    bool // false once the clause set is known unsat at level 0
 	model []bool
 
-	seen   []byte
-	toClr  []Var
-	stamps []int
+	seen  []byte
+	toClr []Var
 
 	// Scratch buffers reused across calls (conflict analysis and clause
 	// normalization run once per conflict / per added clause, so a fresh
@@ -240,6 +252,7 @@ type Solver struct {
 	learntBuf []Lit
 	origBuf   []Var
 	stackBuf  []Var
+	sortBuf   []int32 // reduceDB's activity order; swapped with learnts
 
 	// Per-Solve worker state, installed from Options at the top of each
 	// Solve call and cleared on return (and by Recycle): the
@@ -299,7 +312,8 @@ func (s *Solver) NewVar() Var {
 func (s *Solver) Recycle() {
 	s.clauses = s.clauses[:0]
 	s.learnts = s.learnts[:0]
-	s.arena = s.arena[:0] // slots (and their lits arrays) are reused by allocClause
+	s.arena = s.arena[:0]
+	s.act = s.act[:0]
 	w := s.watches[:cap(s.watches)]
 	for i := range w {
 		w[i] = w[i][:0]
@@ -323,7 +337,6 @@ func (s *Solver) Recycle() {
 	s.ok = true
 	s.model = s.model[:0]
 	s.toClr = s.toClr[:0]
-	s.stamps = s.stamps[:0]
 	// Worker state is per-Solve (installed from Options and cleared on
 	// return), but a recycled solver must not retain a previous life's
 	// RNG stream, cancellation flag, or exchange cursor either.
@@ -396,20 +409,43 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
-// allocClause copies lits into a (possibly recycled) arena slot, so
-// callers may pass reused scratch buffers.
-func (s *Solver) allocClause(lits []Lit, learnt bool) int {
-	if n := len(s.arena); n < cap(s.arena) {
-		s.arena = s.arena[:n+1]
-		c := &s.arena[n]
-		c.lits = append(c.lits[:0], lits...)
-		c.activity = 0
-		c.learnt = learnt
-		c.deleted = false
-		return n
+// allocClause appends a clause to the arena and returns its cref. The
+// literals are copied, so callers may pass reused scratch buffers.
+func (s *Solver) allocClause(lits []Lit, learnt bool) int32 {
+	if len(s.arena) > math.MaxInt32-hdrWords-len(lits) {
+		panic("sat: clause arena exceeds 2^31 words")
 	}
-	s.arena = append(s.arena, clause{lits: append([]Lit(nil), lits...), learnt: learnt})
-	return len(s.arena) - 1
+	cref := int32(len(s.arena))
+	hdr, id := Lit(len(lits))<<hdrShift, Lit(0)
+	if learnt {
+		hdr |= hdrLearnt
+		id = Lit(len(s.act))
+		s.act = append(s.act, 0)
+	}
+	s.arena = append(append(s.arena, hdr, id), lits...)
+	return cref
+}
+
+// clauseLits returns the clause's literals, aliasing the arena.
+func (s *Solver) clauseLits(cref int32) []Lit {
+	start := int(cref) + hdrWords
+	return s.arena[start : start+int(s.arena[cref]>>hdrShift)]
+}
+
+func (s *Solver) isLearnt(cref int32) bool  { return s.arena[cref]&hdrLearnt != 0 }
+func (s *Solver) isDeleted(cref int32) bool { return s.arena[cref]&hdrDeleted != 0 }
+
+// claAct returns a learnt clause's activity slot.
+func (s *Solver) claAct(cref int32) *float64 { return &s.act[s.arena[cref+1]] }
+
+// reasonLits returns the literals of v's reason clause other than v's
+// own (see hdrWords: a binary reason's implied literal may sit second).
+func (s *Solver) reasonLits(cref int32, v Var) []Lit {
+	lits := s.clauseLits(cref)
+	if lits[0].Var() == v {
+		return lits[1:]
+	}
+	return lits[:1]
 }
 
 // Simplify removes clauses satisfied at decision level 0 from the
@@ -426,15 +462,14 @@ func (s *Solver) Simplify() {
 	s.learnts = s.simplifyList(s.learnts)
 }
 
-func (s *Solver) simplifyList(refs []int) []int {
+func (s *Solver) simplifyList(refs []int32) []int32 {
 	kept := refs[:0]
 	for _, cref := range refs {
-		c := &s.arena[cref]
-		if c.deleted {
+		if s.isDeleted(cref) {
 			continue
 		}
 		sat0 := false
-		for _, l := range c.lits {
+		for _, l := range s.clauseLits(cref) {
 			if s.value(l) == lTrue {
 				sat0 = true
 				break
@@ -442,7 +477,7 @@ func (s *Solver) simplifyList(refs []int) []int {
 		}
 		if sat0 && !s.locked(cref) {
 			s.detachClause(cref)
-			c.deleted = true
+			s.arena[cref] |= hdrDeleted
 			s.Stats.Removed++
 		} else {
 			kept = append(kept, cref)
@@ -451,16 +486,20 @@ func (s *Solver) simplifyList(refs []int) []int {
 	return kept
 }
 
-func (s *Solver) attachClause(cref int) {
-	c := &s.arena[cref]
-	w0, w1 := c.lits[0], c.lits[1]
-	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{cref, w1})
-	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{cref, w0})
+func (s *Solver) attachClause(cref int32) {
+	lits := s.clauseLits(cref)
+	w0, w1 := lits[0], lits[1]
+	cw := uint32(cref) << 1
+	if len(lits) == 2 {
+		cw |= 1
+	}
+	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{cw, w1})
+	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{cw, w0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from int) {
+func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 	v := l.Var()
 	s.assignLit[l] = lTrue
 	s.assignLit[l^1] = lFalse
@@ -469,60 +508,81 @@ func (s *Solver) uncheckedEnqueue(l Lit, from int) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns the index of a
+// propagate performs unit propagation; it returns the cref of a
 // conflicting clause, or -1 if no conflict arises.
-func (s *Solver) propagate() int {
-	conflict := -1
+func (s *Solver) propagate() int32 {
+	conflict := int32(-1)
+	// Neither slice is reallocated during propagation: no variable or
+	// clause is added.
+	vals, arena := s.assignLit, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		j := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			bv := vals[w.blocker]
+			if bv == lTrue {
 				ws[j] = w
 				j++
 				continue
 			}
-			c := &s.arena[w.cref]
-			lits := c.lits
-			// Ensure the falsified literal is lits[1].
-			falseLit := p.Not()
-			if lits[0] == falseLit {
-				lits[0], lits[1] = lits[1], lits[0]
-			}
-			first := lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				ws[j] = watcher{w.cref, first}
+			if w.binary() {
+				// The blocker is the other literal: unit or conflicting.
+				ws[j] = w
 				j++
-				continue
-			}
-			// Look for a new literal to watch.
-			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
-					lits[1], lits[k] = lits[k], lits[1]
-					nw := lits[1].Not()
-					s.watches[nw] = append(s.watches[nw], watcher{w.cref, first})
-					continue nextWatcher
+				if bv != lFalse {
+					s.uncheckedEnqueue(w.blocker, w.cref())
+					continue
 				}
-			}
-			// Clause is unit or conflicting.
-			ws[j] = watcher{w.cref, first}
-			j++
-			if s.value(first) == lFalse {
-				conflict = w.cref
-				s.qhead = len(s.trail)
-				// Copy remaining watchers back.
-				for i++; i < len(ws); i++ {
-					ws[j] = ws[i]
+				// Store the conflict as [other, falsified], the order
+				// analyze reads a long conflicting clause in.
+				conflict = w.cref()
+				lits := s.clauseLits(conflict)
+				lits[0], lits[1] = w.blocker, falseLit
+			} else {
+				cref := w.cref()
+				start := int(cref) + hdrWords
+				lits := arena[start : start+int(arena[cref]>>hdrShift)]
+				// Ensure the falsified literal is lits[1].
+				if lits[0] == falseLit {
+					lits[0], lits[1] = lits[1], lits[0]
+				}
+				first := lits[0]
+				if first != w.blocker && vals[first] == lTrue {
+					ws[j] = watcher{w.cw, first}
 					j++
+					continue
 				}
-				break
+				// Look for a new literal to watch.
+				for k := 2; k < len(lits); k++ {
+					if vals[lits[k]] != lFalse {
+						lits[1], lits[k] = lits[k], lits[1]
+						nw := lits[1].Not()
+						s.watches[nw] = append(s.watches[nw], watcher{w.cw, first})
+						continue nextWatcher
+					}
+				}
+				// Clause is unit or conflicting.
+				ws[j] = watcher{w.cw, first}
+				j++
+				if vals[first] != lFalse {
+					s.uncheckedEnqueue(first, cref)
+					continue
+				}
+				conflict = cref
 			}
-			s.uncheckedEnqueue(first, w.cref)
+			// Conflict: copy the remaining watchers back and stop.
+			s.qhead = len(s.trail)
+			for i++; i < len(ws); i++ {
+				ws[j] = ws[i]
+				j++
+			}
+			break
 		}
 		s.watches[p] = ws[:j]
 		if conflict != -1 {
@@ -534,7 +594,7 @@ func (s *Solver) propagate() int {
 
 // analyze performs first-UIP conflict analysis and returns the learnt
 // clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(conflict int) ([]Lit, int) {
+func (s *Solver) analyze(conflict int32) ([]Lit, int) {
 	learnt := append(s.learntBuf[:0], 0) // [0] holds the asserting literal
 	counter := 0
 	var p Lit = -1
@@ -542,15 +602,16 @@ func (s *Solver) analyze(conflict int) ([]Lit, int) {
 
 	cref := conflict
 	for {
-		c := &s.arena[cref]
-		if c.learnt {
+		if s.isLearnt(cref) {
 			s.bumpClause(cref)
 		}
-		start := 0
-		if p != -1 {
-			start = 1
+		var lits []Lit
+		if p == -1 {
+			lits = s.clauseLits(cref)
+		} else {
+			lits = s.reasonLits(cref, p.Var())
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range lits {
 			v := q.Var()
 			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
@@ -628,9 +689,7 @@ func (s *Solver) litRedundant(l Lit) bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		cref := s.reason[v]
-		c := &s.arena[cref]
-		for _, q := range c.lits[1:] {
+		for _, q := range s.reasonLits(s.reason[v], v) {
 			qv := q.Var()
 			if s.seen[qv] != 0 || s.level[qv] == 0 {
 				continue
@@ -680,12 +739,12 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(cref int) {
-	c := &s.arena[cref]
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(cref int32) {
+	a := s.claAct(cref)
+	*a += s.claInc
+	if *a > 1e20 {
 		for _, i := range s.learnts {
-			s.arena[i].activity *= 1e-20
+			*s.claAct(i) *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -743,37 +802,35 @@ func (s *Solver) reduceDB() {
 	// Partial selection sort would be overkill; a simple threshold pass
 	// over the activity median approximation works well in practice.
 	extra := s.claInc / float64(len(s.learnts))
-	// Sort learnts by activity ascending (insertion into new slices).
-	sorted := make([]int, len(s.learnts))
-	copy(sorted, s.learnts)
-	// Simple quicksort on activity.
-	sortByActivity(sorted, s.arena)
+	sorted := append(s.sortBuf[:0], s.learnts...)
+	s.sortByActivity(sorted)
 	half := len(sorted) / 2
 	kept := sorted[:0]
 	for i, cref := range sorted {
-		c := &s.arena[cref]
-		if len(c.lits) > 2 && !s.locked(cref) && (i < half || c.activity < extra) {
+		if len(s.clauseLits(cref)) > 2 && !s.locked(cref) && (i < half || *s.claAct(cref) < extra) {
 			s.detachClause(cref)
-			c.deleted = true
+			s.arena[cref] |= hdrDeleted
 			s.Stats.Removed++
 		} else {
 			kept = append(kept, cref)
 		}
 	}
+	s.sortBuf = s.learnts[:0]
 	s.learnts = kept
 }
 
-func sortByActivity(refs []int, arena []clause) {
+// sortByActivity quicksorts learnt crefs by ascending activity.
+func (s *Solver) sortByActivity(refs []int32) {
 	if len(refs) < 2 {
 		return
 	}
-	pivot := arena[refs[len(refs)/2]].activity
+	pivot := *s.claAct(refs[len(refs)/2])
 	i, j := 0, len(refs)-1
 	for i <= j {
-		for arena[refs[i]].activity < pivot {
+		for *s.claAct(refs[i]) < pivot {
 			i++
 		}
-		for arena[refs[j]].activity > pivot {
+		for *s.claAct(refs[j]) > pivot {
 			j--
 		}
 		if i <= j {
@@ -782,22 +839,27 @@ func sortByActivity(refs []int, arena []clause) {
 			j--
 		}
 	}
-	sortByActivity(refs[:j+1], arena)
-	sortByActivity(refs[i:], arena)
+	s.sortByActivity(refs[:j+1])
+	s.sortByActivity(refs[i:])
 }
 
-func (s *Solver) locked(cref int) bool {
-	c := &s.arena[cref]
-	v := c.lits[0].Var()
-	return s.reason[v] == cref && s.value(c.lits[0]) == lTrue
+// locked reports whether the clause is the reason for a current
+// assignment, which must then survive deletion.
+func (s *Solver) locked(cref int32) bool {
+	lits := s.clauseLits(cref)
+	l := lits[0]
+	if len(lits) == 2 && s.value(l) != lTrue {
+		l = lits[1]
+	}
+	return s.reason[l.Var()] == cref && s.value(l) == lTrue
 }
 
-func (s *Solver) detachClause(cref int) {
-	c := &s.arena[cref]
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detachClause(cref int32) {
+	lits := s.clauseLits(cref)
+	for _, w := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[w]
 		for i := range ws {
-			if ws[i].cref == cref {
+			if ws[i].cref() == cref {
 				ws[i] = ws[len(ws)-1]
 				s.watches[w] = ws[:len(ws)-1]
 				break

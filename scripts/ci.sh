@@ -28,6 +28,10 @@ go test -race -timeout 60m ./internal/sat ./internal/smt ./internal/cegis ./inte
 # scale up under race too; see internal/driver scaledTimeout)
 go test -race -timeout 60m "$@" ./...
 
+# The re-measuring benchmark is a module of its own, so ./... above
+# does not reach its smoke test (every short workload, one iteration).
+(cd bench && go test -short ./...)
+
 # Selection benchmark smoke: one iteration of the library-size scaling
 # benchmark must run clean, and a single-rep BENCH_isel.json must parse
 # and show the indexed matcher sublinear in library size.
