@@ -17,12 +17,18 @@ import (
 )
 
 // Blaster converts terms to CNF incrementally. All terms passed to one
-// Blaster must come from the same bv.Builder.
+// Blaster must come from the same bv.Builder. Terms are cached by
+// identity and gates by their normalized inputs (see gateKey), so
+// structurally equal circuits over the same literals — say, one
+// component's semantics instantiated on two test cases that agree on
+// some bits — share their output variables instead of re-emitting
+// clauses.
 type Blaster struct {
 	S *sat.Solver
 
 	cache map[*bv.Term][]sat.Lit
 	vars  map[string][]sat.Lit
+	gates map[gateKey]sat.Lit
 
 	// Hits and Misses count term-cache lookups in Blast; with a
 	// long-lived Blaster shared across CEGIS iterations the hit rate
@@ -39,7 +45,18 @@ func New(s *sat.Solver) *Blaster {
 		S:     s,
 		cache: make(map[*bv.Term][]sat.Lit),
 		vars:  make(map[string][]sat.Lit),
+		gates: make(map[gateKey]sat.Lit),
 	}
+}
+
+// Reset forgets every blasted term, variable and gate, for reuse over
+// S after S.Recycle. The tables keep their allocations; Hits and
+// Misses keep counting.
+func (bb *Blaster) Reset() {
+	clear(bb.cache)
+	clear(bb.vars)
+	clear(bb.gates)
+	bb.haveTrue = false
 }
 
 // constTrue returns a literal asserted true at the top level.
@@ -82,6 +99,25 @@ func (bb *Blaster) VarLits(name string, sort bv.Sort) []sat.Lit {
 	return ls
 }
 
+// Bind makes the variable v an alias of u's literals, blasting u, so
+// the equation v = u costs no clauses. It declines, returning false,
+// when v is not a variable or has literals once u is blasted: either an
+// earlier clause may mention them, or u reaches v (v = f(v) constrains
+// v rather than defining it). An alias cannot be retracted: bind only
+// equations that hold permanently.
+func (bb *Blaster) Bind(v, u *bv.Term) bool {
+	if v.Op != bv.OpVar {
+		return false
+	}
+	ls := bb.Blast(u)
+	if _, ok := bb.vars[v.Name]; ok {
+		return false
+	}
+	bb.vars[v.Name] = ls
+	bb.cache[v] = ls
+	return true
+}
+
 // Assert adds the boolean term t as a top-level constraint.
 func (bb *Blaster) Assert(t *bv.Term) {
 	if !t.Sort.IsBool() {
@@ -122,11 +158,11 @@ func (bb *Blaster) blast(t *bv.Term) []sat.Lit {
 	case bv.OpAnd:
 		return []sat.Lit{bb.andGate(bb.Blast(t.Args[0])[0], bb.Blast(t.Args[1])[0])}
 	case bv.OpOr:
-		return []sat.Lit{bb.andGate(bb.Blast(t.Args[0])[0].Not(), bb.Blast(t.Args[1])[0].Not()).Not()}
+		return []sat.Lit{bb.orGate(bb.Blast(t.Args[0])[0], bb.Blast(t.Args[1])[0])}
 	case bv.OpXor:
 		return []sat.Lit{bb.xorGate(bb.Blast(t.Args[0])[0], bb.Blast(t.Args[1])[0])}
 	case bv.OpImplies:
-		return []sat.Lit{bb.andGate(bb.Blast(t.Args[0])[0], bb.Blast(t.Args[1])[0].Not()).Not()}
+		return []sat.Lit{bb.orGate(bb.Blast(t.Args[0])[0].Not(), bb.Blast(t.Args[1])[0])}
 	case bv.OpIff:
 		return []sat.Lit{bb.xorGate(bb.Blast(t.Args[0])[0], bb.Blast(t.Args[1])[0]).Not()}
 	case bv.OpBvNot:
@@ -144,7 +180,7 @@ func (bb *Blaster) blast(t *bv.Term) []sat.Lit {
 			case bv.OpBvAnd:
 				out[i] = bb.andGate(a[i], b[i])
 			case bv.OpBvOr:
-				out[i] = bb.andGate(a[i].Not(), b[i].Not()).Not()
+				out[i] = bb.orGate(a[i], b[i])
 			default:
 				out[i] = bb.xorGate(a[i], b[i])
 			}
@@ -233,8 +269,44 @@ func (bb *Blaster) blast(t *bv.Term) []sat.Lit {
 	panic(fmt.Sprintf("bitblast: unhandled op %v", t.Op))
 }
 
+// gateKind names a hash-consed Tseitin gate.
+type gateKind uint8
+
+const (
+	gateAnd gateKind = iota
+	gateXor
+	gateMux
+)
+
+// gateKey identifies a gate by its normalized input literals: AND
+// inputs sorted; XOR inputs positive (their negations moved to the
+// output) and sorted; MUX condition positive (a negated condition
+// swaps the data inputs). Two gates with equal keys compute the same
+// function, so the second reuses the first's output literal.
+type gateKey struct {
+	kind    gateKind
+	x, y, z sat.Lit
+}
+
+// gate returns the output literal hash-consed under k, reporting
+// whether it is new (and so still needs its defining clauses).
+func (bb *Blaster) gate(k gateKey) (sat.Lit, bool) {
+	if o, ok := bb.gates[k]; ok {
+		return o, false
+	}
+	o := bb.fresh()
+	bb.gates[k] = o
+	return o, true
+}
+
+// positive strips l's sign.
+func positive(l sat.Lit) sat.Lit { return sat.MkLit(l.Var(), false) }
+
 // andGate returns a literal equivalent to a & b.
 func (bb *Blaster) andGate(a, b sat.Lit) sat.Lit {
+	if a > b {
+		a, b = b, a
+	}
 	if a == b {
 		return a
 	}
@@ -242,71 +314,92 @@ func (bb *Blaster) andGate(a, b sat.Lit) sat.Lit {
 		return bb.constFalse()
 	}
 	if bb.haveTrue {
-		if a == bb.litTrue {
+		switch bb.litTrue {
+		case a:
 			return b
-		}
-		if b == bb.litTrue {
+		case b:
 			return a
-		}
-		if a == bb.litTrue.Not() || b == bb.litTrue.Not() {
+		case a.Not(), b.Not():
 			return bb.constFalse()
 		}
 	}
-	o := bb.fresh()
-	bb.S.AddClause(o.Not(), a)
-	bb.S.AddClause(o.Not(), b)
-	bb.S.AddClause(o, a.Not(), b.Not())
+	o, fresh := bb.gate(gateKey{kind: gateAnd, x: a, y: b})
+	if fresh {
+		bb.S.AddClause(o.Not(), a)
+		bb.S.AddClause(o.Not(), b)
+		bb.S.AddClause(o, a.Not(), b.Not())
+	}
 	return o
+}
+
+// orGate returns a literal equivalent to a | b.
+func (bb *Blaster) orGate(a, b sat.Lit) sat.Lit {
+	return bb.andGate(a.Not(), b.Not()).Not()
 }
 
 // xorGate returns a literal equivalent to a ^ b.
 func (bb *Blaster) xorGate(a, b sat.Lit) sat.Lit {
-	if a == b {
-		return bb.constFalse()
+	// ¬a ^ b = ¬(a ^ b): move the input signs to the output.
+	neg := a.Neg() != b.Neg()
+	a, b = positive(a), positive(b)
+	if a > b {
+		a, b = b, a
 	}
-	if a == b.Not() {
-		return bb.constTrue()
+	var o sat.Lit
+	switch {
+	case a == b:
+		o = bb.constFalse()
+	case bb.haveTrue && a == bb.litTrue:
+		o = b.Not()
+	case bb.haveTrue && b == bb.litTrue:
+		o = a.Not()
+	default:
+		var fresh bool
+		o, fresh = bb.gate(gateKey{kind: gateXor, x: a, y: b})
+		if fresh {
+			bb.S.AddClause(o.Not(), a, b)
+			bb.S.AddClause(o.Not(), a.Not(), b.Not())
+			bb.S.AddClause(o, a, b.Not())
+			bb.S.AddClause(o, a.Not(), b)
+		}
 	}
-	if bb.haveTrue {
-		if a == bb.litTrue {
-			return b.Not()
-		}
-		if b == bb.litTrue {
-			return a.Not()
-		}
-		if a == bb.litTrue.Not() {
-			return b
-		}
-		if b == bb.litTrue.Not() {
-			return a
-		}
+	if neg {
+		return o.Not()
 	}
-	o := bb.fresh()
-	bb.S.AddClause(o.Not(), a, b)
-	bb.S.AddClause(o.Not(), a.Not(), b.Not())
-	bb.S.AddClause(o, a, b.Not())
-	bb.S.AddClause(o, a.Not(), b)
 	return o
 }
 
-// muxGate returns c ? a : b.
+// muxGate returns c ? a : b. A constant data input folds the mux into
+// an AND or an OR (and two constant inputs into c or ¬c), which needs
+// three clauses or none instead of four.
 func (bb *Blaster) muxGate(c, a, b sat.Lit) sat.Lit {
+	if c.Neg() {
+		c, a, b = c.Not(), b, a
+	}
 	if a == b {
 		return a
 	}
 	if bb.haveTrue {
-		if c == bb.litTrue {
+		switch bb.litTrue {
+		case c:
 			return a
-		}
-		if c == bb.litTrue.Not() {
-			return b
+		case a:
+			return bb.orGate(c, b)
+		case a.Not():
+			return bb.andGate(c.Not(), b)
+		case b:
+			return bb.orGate(c.Not(), a)
+		case b.Not():
+			return bb.andGate(c, a)
 		}
 	}
-	o := bb.fresh()
-	bb.S.AddClause(o.Not(), c.Not(), a)
-	bb.S.AddClause(o.Not(), c, b)
-	bb.S.AddClause(o, c.Not(), a.Not())
-	bb.S.AddClause(o, c, b.Not())
+	o, fresh := bb.gate(gateKey{kind: gateMux, x: c, y: a, z: b})
+	if fresh {
+		bb.S.AddClause(o.Not(), c.Not(), a)
+		bb.S.AddClause(o.Not(), c, b)
+		bb.S.AddClause(o, c.Not(), a.Not())
+		bb.S.AddClause(o, c, b.Not())
+	}
 	return o
 }
 
@@ -316,7 +409,7 @@ func (bb *Blaster) fullAdder(a, b, cin sat.Lit) (sum, cout sat.Lit) {
 	// cout = (a&b) | (cin & (a^b))
 	ab := bb.andGate(a, b)
 	cx := bb.andGate(cin, bb.xorGate(a, b))
-	cout = bb.andGate(ab.Not(), cx.Not()).Not()
+	cout = bb.orGate(ab, cx)
 	return sum, cout
 }
 
@@ -482,7 +575,7 @@ func (bb *Blaster) ultGate(a, b []sat.Lit) sat.Lit {
 	for i := 0; i < len(a); i++ {
 		below := bb.andGate(a[i].Not(), b[i])
 		eq := bb.xorGate(a[i], b[i]).Not()
-		lt = bb.andGate(below.Not(), bb.andGate(eq, lt).Not()).Not()
+		lt = bb.orGate(below, bb.andGate(eq, lt))
 	}
 	return lt
 }

@@ -56,6 +56,33 @@ func TestNonNormalizedModeFindsDoubling(t *testing.T) {
 	}
 }
 
+// TestCommutativeOrientation checks that ϕwf admits one orientation of
+// each commutative component: every candidate sent to verification
+// becomes a pattern, a counterexample or a timeout, none being the
+// mirror image of an earlier pattern that Canon would merge. neg over
+// {Add, Sub, Const} has a family of such pairs, k - (x + k) and
+// k - (k + x); the normal form alone does not separate them.
+func TestCommutativeOrientation(t *testing.T) {
+	ops := ir.Ops()
+	comps := []*sem.Instr{ir.ByName(ops, "Add"), ir.ByName(ops, "Sub"), ir.ByName(ops, "Const")}
+	for _, nonNormalized := range []bool{false, true} {
+		e := New(ops, Config{Width: 8, Seed: 1, MaxPatternsPerGoal: 64,
+			AllowNonNormalized: nonNormalized})
+		pats, err := e.CEGISAllPatterns(comps, x86.Neg())
+		if err != nil {
+			t.Fatalf("non-normalized=%v: %v", nonNormalized, err)
+		}
+		if len(pats) == 0 {
+			t.Fatalf("non-normalized=%v: no patterns", nonNormalized)
+		}
+		st := e.Stats
+		if st.VerifyQueries != st.Patterns+st.Counterexamples+st.QueryTimeouts {
+			t.Fatalf("non-normalized=%v: %d verify queries for %d patterns, %d counterexamples, %d timeouts: mirror images reached verification",
+				nonNormalized, st.VerifyQueries, st.Patterns, st.Counterexamples, st.QueryTimeouts)
+		}
+	}
+}
+
 // doubleGoal is a one-argument machine instruction computing 2x.
 func doubleGoal() *sem.Instr {
 	return &sem.Instr{

@@ -227,17 +227,30 @@ func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc
 	// power — when a *graph* uses one value twice (e.g. lea with the
 	// same register as base and index, §7.4), distinct pattern
 	// arguments simply bind to the same node at match time.
-	if normalized {
-		for k, c := range comps {
-			for a1 := 0; a1 < len(c.Args); a1++ {
-				for a2 := a1 + 1; a2 < len(c.Args); a2++ {
-					if c.Args[a1] != c.Args[a2] {
-						continue
-					}
-					s1, s2 := e.argSels[k][a1], e.argSels[k][a2]
-					if s1.Sort == s2.Sort {
-						e.solver.Assert(b.Not(b.Eq(s1, s2)))
-					}
+	//
+	// Orientation (§5.5's mirror-image filter, likewise moved into
+	// ϕwf): a commutative component's two arguments can be swapped
+	// without changing the pattern's semantics or its Canon, so only the
+	// orientation with sel₀ < sel₁ is enumerated — sel₀ ≤ sel₁ when
+	// non-normalized patterns such as Add(x,x) are allowed. Under the
+	// normal form, < subsumes the distinctness constraint.
+	for k, c := range comps {
+		sels := e.argSels[k]
+		if pattern.Commutative(c.Name) && len(c.Args) == 2 && c.Args[0] == c.Args[1] {
+			if normalized {
+				e.solver.Assert(b.Ult(sels[0], sels[1]))
+			} else {
+				e.solver.Assert(b.Ule(sels[0], sels[1]))
+			}
+			continue
+		}
+		if !normalized {
+			continue
+		}
+		for a1 := 0; a1 < len(c.Args); a1++ {
+			for a2 := a1 + 1; a2 < len(c.Args); a2++ {
+				if c.Args[a1] == c.Args[a2] {
+					e.solver.Assert(b.Not(b.Eq(sels[a1], sels[a2])))
 				}
 			}
 		}

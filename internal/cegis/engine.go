@@ -462,6 +462,9 @@ func (e *Engine) cegisAllPatterns(comps []*sem.Instr, goal *sem.Instr, budget in
 		}
 	}
 
+	// seen guards the pattern set against Canon duplicates. Mirror
+	// images, the only duplicates distinct assignments can decode to,
+	// are already excluded by ϕwf's orientation constraint.
 	seen := make(map[string]bool)
 	for {
 		if e.deadlineExceeded() {

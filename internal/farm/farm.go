@@ -181,6 +181,10 @@ type coordinator struct {
 	done      bool // finished closed
 	fatal     error
 	closed    bool // teardown started; ignore worker exits
+	// exits counts the exit monitors of spawned workers; teardown waits
+	// for it, so no killed worker still appends to its shard when Run
+	// returns (a Resume run's new worker would interleave with it).
+	exits sync.WaitGroup
 
 	granted, reclaimed, respawns, kills, late int
 	synthesized, replayed                     int
@@ -348,6 +352,8 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 
 		// Teardown: workers are idle once remaining hits zero (a lease
 		// poll answers done and they exit); kill covers the fatal paths.
+		// A killed worker may still be finishing a goal, so wait for
+		// every one to exit before the shards are merged.
 		c.mu.Lock()
 		c.closed = true
 		for _, ws := range c.workers {
@@ -356,6 +362,7 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 			}
 		}
 		c.mu.Unlock()
+		c.exits.Wait()
 	}
 
 	rep := c.report(cfg.Workers, start)
@@ -459,7 +466,9 @@ func (c *coordinator) spawnLocked(id int, url, shard string) error {
 	c.tr.Eventf(obs.LevelInfo, "farm.worker.spawn",
 		[]obs.Arg{obs.Int("worker", int64(id))},
 		"farm: worker %d spawned (shard %s)\n", id, shard)
+	c.exits.Add(1)
 	go func() {
+		defer c.exits.Done()
 		err := <-h.Done()
 		c.workerExited(id, gen, url, err)
 	}()

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -455,6 +456,86 @@ func TestStopThenResume(t *testing.T) {
 	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
 		t.Fatalf("stop+resume library differs from single-process run")
 	}
+}
+
+// TestRunWaitsForKilledWorkers: Run must not return while a killed
+// worker is still writing. An in-process worker stopped mid-goal
+// finishes the goal and appends it to its shard; this worker delays
+// that append until well after Kill. Were Run to return first, a
+// Resume run's new worker could open the shard while the late append
+// lands, and the two writers would interleave their records.
+func TestRunWaitsForKilledWorkers(t *testing.T) {
+	groups, opts, hdr := farmSetup()
+	baseLib, _, err := driver.Run(groups, opts)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	var lateAppends atomic.Int32
+	spawn := func(id int, coordURL, shard string) (Handle, error) {
+		h := &goroutineHandle{kill: make(chan struct{}), done: make(chan error, 1)}
+		go func() {
+			err := RunWorker(WorkerConfig{
+				ID: id, Coord: coordURL, Groups: groups, Opts: opts,
+				Header: hdr, Shard: shard, Stop: h.kill,
+			})
+			<-h.kill
+			time.Sleep(100 * time.Millisecond)
+			if aerr := appendLastRecord(shard, hdr); err == nil {
+				err = aerr
+			}
+			lateAppends.Add(1)
+			h.done <- err
+		}()
+		return h, nil
+	}
+
+	tr := obs.New()
+	stop := make(chan struct{})
+	go func() {
+		for tr.Metrics().CounterValue("farm.goal.completed") == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		close(stop)
+	}()
+	cfg := Config{
+		Groups: groups, Opts: opts, Header: hdr,
+		Dir: t.TempDir(), Workers: 1,
+		Lease: 2 * time.Minute,
+		Spawn: spawn,
+		Obs:   tr, Stop: stop,
+	}
+	if _, _, err := Run(cfg); err != nil && !errors.Is(err, ErrStopped) {
+		t.Fatalf("farm run: %v", err)
+	}
+	if n := lateAppends.Load(); n != 1 {
+		t.Fatalf("Run returned before the killed worker's late shard append (%d appends done)", n)
+	}
+
+	cfg.Obs = obs.New()
+	cfg.Stop = nil
+	cfg.Resume = true
+	cfg.Spawn = inprocSpawner(groups, opts, hdr)
+	lib, _, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("resumed farm run: %v", err)
+	}
+	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
+		t.Fatalf("resumed library differs from single-process run")
+	}
+}
+
+// appendLastRecord re-appends the shard's last goal record: the late
+// write of a worker that finished its goal after being killed.
+func appendLastRecord(shard string, hdr journal.Header) error {
+	jw, rec, err := journal.Resume(shard, hdr)
+	if err != nil {
+		return err
+	}
+	defer jw.Close()
+	if len(rec.Goals) == 0 {
+		return nil
+	}
+	return jw.Append(rec.Goals[len(rec.Goals)-1])
 }
 
 // TestRegisterRefusesMismatchedHeader: the coordinator applies the

@@ -191,6 +191,11 @@ var commutativeOps = map[string]bool{
 	"Add": true, "Mul": true, "And": true, "Or": true, "Eor": true,
 }
 
+// Commutative reports whether the IR operation's two value arguments
+// commute. Canon merges a pattern with its mirror images over these
+// operations, and the synthesis encoding enumerates one orientation.
+func Commutative(op string) bool { return commutativeOps[op] }
+
 // Canon returns a canonical fingerprint of the pattern: mirror images
 // of commutative operations map to the same string. Patterns with equal
 // fingerprints are duplicates.

@@ -12,7 +12,8 @@ import (
 // oracle can enumerate every input), each following byte applies one
 // operation to the top of the stack, and the final byte selects the
 // comparison that turns the remaining bit-vector terms into the
-// predicate.
+// predicate. An equality predicate between a variable and a term
+// without it is the depth-0 equation Assert binds instead of blasting.
 func fuzzTerm(b *bv.Builder, data []byte) (pred *bv.Term, w int) {
 	w = []int{1, 2, 4, 8}[int(data[0])&3]
 	va := b.Var("a", bv.BitVec(w))
@@ -59,10 +60,24 @@ func fuzzTerm(b *bv.Builder, data []byte) (pred *bv.Term, w int) {
 		case 11:
 			push(b.BvUdiv(pop(), pop()))
 		case 12:
-			push(b.Const(uint64(op), w))
+			// Op bytes from 128 push 0 or all ones, each of whose bits
+			// folds a mux it feeds into an AND or an OR.
+			v := uint64(op)
+			if op >= 128 {
+				v = 0
+				if op/14%2 == 1 {
+					v = ^v
+				}
+			}
+			push(b.Const(v, w))
 		default:
 			x, y := pop(), pop()
-			push(b.Ite(b.Ult(x, y), y, x))
+			if op < 128 {
+				push(b.Ite(b.Ult(x, y), y, x))
+			} else {
+				// A constant data input: the blaster folds every bit.
+				push(b.Ite(b.Slt(x, y), b.Const(uint64(op), w), y))
+			}
 		}
 	}
 

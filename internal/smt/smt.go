@@ -122,10 +122,9 @@ type Solver struct {
 	// rebuilds.
 	GarbageLimit int
 
-	// retired* fold the counters of rebuilt SAT cores / blasters into
-	// the totals reported by Stats and BlastStats.
+	// retired* fold the counters of rebuilt SAT cores into the totals
+	// reported by Stats.
 	retiredConflicts, retiredRestarts int64
-	retiredHits, retiredMisses        int64
 
 	// Obs, when non-nil, receives the smt.checks counter and the
 	// smt.check.us latency histogram, and is forwarded to the SAT
@@ -178,20 +177,19 @@ func (s *Solver) Pop() {
 	}
 }
 
-// rebuild garbage-collects the SAT core: a fresh solver and blaster are
-// built and the permanent assertions replayed. Only reachable (live)
-// terms are re-blasted; the retired frames' definitions are dropped.
-// Must only run at depth 0, where no activation literal is live.
+// rebuild garbage-collects the SAT core: the solver and blaster are
+// emptied (keeping their allocations) and the permanent assertions
+// replayed. Only reachable (live) terms are re-blasted; the retired
+// frames' definitions are dropped. Must only run at depth 0, where no
+// activation literal is live.
 func (s *Solver) rebuild() {
 	s.Stats.Resets++
 	s.retiredConflicts += s.s.Stats.Conflicts
 	s.retiredRestarts += s.s.Stats.Restarts
-	s.retiredHits += s.bb.Hits
-	s.retiredMisses += s.bb.Misses
 	s.s.Recycle()
-	s.bb = bitblast.New(s.s)
+	s.bb.Reset()
 	for _, t := range s.permanent {
-		s.s.AddClause(s.bb.Blast(t)[0])
+		s.assertPermanent(t)
 	}
 	s.baseVars = s.s.NumVars()
 }
@@ -216,19 +214,33 @@ func (s *Solver) Depth() int { return len(s.frames) }
 // the assertion is retracted by the matching Pop; otherwise it is
 // permanent. Note the Tseitin definitions introduced by blasting t are
 // always permanent — they only constrain fresh variables, so keeping
-// them across frames is sound and is what makes the blast cache
-// reusable after a Pop.
+// them across frames is sound and is what makes the blast cache and
+// the blaster's gate table reusable after a Pop.
 func (s *Solver) Assert(t *bv.Term) {
 	if !t.Sort.IsBool() {
 		panic("smt: asserting non-boolean term")
 	}
-	l := s.bb.Blast(t)[0]
 	if n := len(s.frames); n > 0 {
-		s.s.AddClause(s.frames[n-1].Not(), l)
+		s.s.AddClause(s.frames[n-1].Not(), s.bb.Blast(t)[0])
 		return
 	}
 	s.permanent = append(s.permanent, t)
-	s.s.AddClause(l)
+	s.assertPermanent(t)
+}
+
+// assertPermanent adds t at depth 0. An equation between a variable not
+// yet blasted and a term that does not mention it binds the variable to
+// the term's literals (bitblast.Blaster.Bind) instead of emitting an
+// equality circuit. Only depth 0 may bind: Pop could not retract an
+// alias.
+func (s *Solver) assertPermanent(t *bv.Term) {
+	if t.Op == bv.OpEq || t.Op == bv.OpIff {
+		x, y := t.Args[0], t.Args[1]
+		if s.bb.Bind(x, y) || s.bb.Bind(y, x) {
+			return
+		}
+	}
+	s.s.AddClause(s.bb.Blast(t)[0])
 }
 
 // TryAssert is Assert with package-boundary panic conversion: a
@@ -329,14 +341,7 @@ func (s *Solver) Check(opts Options) (res Result, err error) {
 
 // BlastStats reports the term-cache hit/miss counts of the underlying
 // bit-blaster.
-func (s *Solver) BlastStats() (hits, misses int64) {
-	return s.retiredHits + s.bb.Hits, s.retiredMisses + s.bb.Misses
-}
-
-// Value reads a term's value from the last Sat model. The term must
-// occur in (a subterm of) an asserted formula; to read arbitrary
-// variables prefer ModelValue.
-func (s *Solver) Value(t *bv.Term) uint64 { return s.bb.Value(t) }
+func (s *Solver) BlastStats() (hits, misses int64) { return s.bb.Hits, s.bb.Misses }
 
 // ModelValue returns the model value of a named variable of the given
 // sort, allocating it if the variable never occurred in an assertion

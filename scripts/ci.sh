@@ -28,6 +28,12 @@ go test -race -timeout 60m ./internal/sat ./internal/smt ./internal/cegis ./inte
 # scale up under race too; see internal/driver scaledTimeout)
 go test -race -timeout 60m "$@" ./...
 
+# Bounded fuzz pass over the SMT facade: fresh random QF_BV predicates
+# (constant-fed muxes and bindable equations among them) checked
+# against exhaustive evaluation, beyond the checked-in corpus the run
+# above replays.
+go test -run '^$' -fuzz '^FuzzCheck$' -fuzztime 15s ./internal/smt
+
 # The re-measuring benchmark is a module of its own, so ./... above
 # does not reach its smoke test (every short workload, one iteration).
 (cd bench && go test -short ./...)
