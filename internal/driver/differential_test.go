@@ -95,6 +95,15 @@ func TestIselBenchScalesSublinearly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunIselBench: %v", err)
 	}
+	// The per-node denominator is the suite's real IR node count, the
+	// same for every library.
+	realNodes := 0
+	for _, g := range table1Suite(7) {
+		realNodes += g.NumRealNodes()
+	}
+	if b.Nodes != int64(realNodes) {
+		t.Fatalf("nodes: %d, want the suite's %d real IR nodes", b.Nodes, realNodes)
+	}
 	if len(b.Points) != len(selBenchSizes) {
 		t.Fatalf("points: %d", len(b.Points))
 	}

@@ -40,9 +40,13 @@ type IselBenchPoint struct {
 }
 
 // IselBench is the full selection-time benchmark (BENCH_isel.json).
+// Every per-node figure divides by Nodes, the suite's real IR node
+// count, which does not depend on the library (isel.SelStats.Nodes
+// counts only the nodes that reach the matcher, so it does).
 type IselBench struct {
 	Width int `json:"width"`
-	// Workload identifies the graph suite; Graphs and Nodes its size.
+	// Workload identifies the graph suite; Graphs and Nodes its size
+	// (Σ firm.Graph.NumRealNodes).
 	Workload string `json:"workload"`
 	Graphs   int    `json:"graphs"`
 	Nodes    int64  `json:"nodes"`
@@ -101,18 +105,21 @@ func RunIselBench(tgt *target.Target, width int, seed int64, basicLib, fullLib *
 	}
 
 	b := &IselBench{Width: width, Workload: "table1", Graphs: len(graphs)}
-
-	hand := tgt.Handwritten(width)
-	handSel := tgt.NewSelector(hand, true)
-	handTime, handStats, err := measureSelection(handSel, graphs, reps)
-	if err != nil {
-		return nil, err
+	for _, g := range graphs {
+		b.Nodes += int64(g.NumRealNodes())
 	}
-	b.Nodes = handStats.Nodes
 	if b.Nodes == 0 {
 		return nil, fmt.Errorf("iselbench: workload has no selectable nodes")
 	}
-	b.HandNsPerNode = float64(handTime.Nanoseconds()) / float64(b.Nodes)
+	nodes := float64(b.Nodes)
+
+	hand := tgt.Handwritten(width)
+	handSel := tgt.NewSelector(hand, true)
+	handTime, _, err := measureSelection(handSel, graphs, reps)
+	if err != nil {
+		return nil, err
+	}
+	b.HandNsPerNode = float64(handTime.Nanoseconds()) / nodes
 
 	type entry struct {
 		name string
@@ -141,7 +148,6 @@ func RunIselBench(tgt *target.Target, width int, seed int64, basicLib, fullLib *
 		if err != nil {
 			return nil, fmt.Errorf("%s (linear): %w", e.name, err)
 		}
-		nodes := float64(st.Nodes)
 		b.Points = append(b.Points, IselBenchPoint{
 			Name:                e.name,
 			Rules:               len(e.lib.Rules),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"selgen/internal/bv"
-	"selgen/internal/ir"
 	"selgen/internal/sem"
 )
 
@@ -33,7 +32,7 @@ func (g *Graph) Exec(params []uint64, mem map[uint64]uint64) (*ExecResult, error
 	ctx := &sem.Ctx{B: b, Width: g.Width, Mem: cm}
 	memTok := b.Const(0, 1) // placeholder M-value token
 
-	vals := make(map[*Node][]*bv.Term)
+	vals := make([][]*bv.Term, len(g.nodes))
 	for _, n := range g.nodes {
 		switch {
 		case n.IsParam():
@@ -47,42 +46,33 @@ func (g *Graph) Exec(params []uint64, mem map[uint64]uint64) (*ExecResult, error
 			default:
 				t = b.Const(params[idx], g.Width)
 			}
-			vals[n] = []*bv.Term{t}
+			vals[n.ID] = []*bv.Term{t}
 		case n.IsInitialMem():
-			vals[n] = []*bv.Term{memTok}
+			vals[n.ID] = []*bv.Term{memTok}
 		default:
-			op := ir.ByName(g.ops, n.Op)
 			args := make([]*bv.Term, len(n.Args))
 			for i, a := range n.Args {
-				// Pick the argument's producing result by kind.
-				want := op.Args[i]
-				picked := -1
-				for r := 0; r < a.NumResults(); r++ {
-					if a.ResultKind(r).Compatible(want) {
-						picked = r
-						break
-					}
-				}
-				if picked < 0 {
+				r := n.argResult(i)
+				if r < 0 {
 					return nil, fmt.Errorf("firm: %s: v%d arg %d unresolvable", g.Name, n.ID, i)
 				}
-				args[i] = vals[a][picked]
+				args[i] = vals[a.ID][r]
 			}
 			ints := make([]*bv.Term, len(n.Internals))
 			for i, v := range n.Internals {
 				ints[i] = b.Const(v, g.Width)
 			}
-			eff := op.Apply(ctx, args, ints)
+			eff := n.Instr().Apply(ctx, args, ints)
 			if eff.Pre != nil && bv.Eval(eff.Pre, nil) != 1 {
 				return nil, fmt.Errorf("firm: %s: v%d (%s) violates its precondition (undefined behaviour)", g.Name, n.ID, n.Op)
 			}
-			vals[n] = eff.Results
+			vals[n.ID] = eff.Results
 		}
 	}
 
 	res := &ExecResult{Mem: cm.Cells}
 	for _, r := range g.Returns {
-		t := vals[r.Node][r.Result]
+		t := vals[r.Node.ID][r.Result]
 		if t.Sort == cm.Sort() {
 			res.Values = append(res.Values, 0)
 		} else {
@@ -90,18 +80,4 @@ func (g *Graph) Exec(params []uint64, mem map[uint64]uint64) (*ExecResult, error
 		}
 	}
 	return res, nil
-}
-
-// argResult resolves which result index of arg feeds slot i of node n
-// (used by the instruction selectors to interpret dataflow edges).
-func ArgResult(ops []*sem.Instr, n *Node, i int) int {
-	op := ir.ByName(ops, n.Op)
-	want := op.Args[i]
-	a := n.Args[i]
-	for r := 0; r < a.NumResults(); r++ {
-		if a.ResultKind(r).Compatible(want) {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("firm: v%d arg %d unresolvable", n.ID, i))
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"selgen/internal/bv"
-	"selgen/internal/ir"
 	"selgen/internal/sem"
 )
 
@@ -25,6 +24,15 @@ type Node struct {
 	Internals []uint64
 
 	graph *Graph
+	// Resolved once, when the node is added: the index of its IR
+	// operation in Graph.Ops() (-1 for pseudo-ops), how many argument
+	// slots of later nodes read it, the ref index of its result 0, and
+	// where Graph.argResults holds the result each argument feeds its
+	// slot with.
+	opIndex  int32
+	uses     int32
+	firstRef int32
+	argBase  int32
 }
 
 // IsParam reports whether the node is a function parameter.
@@ -35,19 +43,27 @@ func (n *Node) IsInitialMem() bool { return n.Op == "InitialMem" }
 
 // IsPseudo reports whether the node is a pseudo-op (not a real IR
 // operation that instruction selection must translate).
-func (n *Node) IsPseudo() bool { return n.IsParam() || n.IsInitialMem() }
+func (n *Node) IsPseudo() bool { return n.opIndex < 0 }
+
+// Instr returns the node's IR operation (nil for pseudo-ops).
+func (n *Node) Instr() *sem.Instr {
+	if n.opIndex < 0 {
+		return nil
+	}
+	return n.graph.ops[n.opIndex]
+}
+
+// OpIndex returns the index of the node's operation in Graph.Ops(), or
+// -1 for a pseudo-op.
+func (n *Node) OpIndex() int { return int(n.opIndex) }
 
 // NumResults returns how many results the node produces (pseudo-ops
 // produce one).
 func (n *Node) NumResults() int {
-	if n.IsPseudo() {
+	if n.opIndex < 0 {
 		return 1
 	}
-	op := ir.ByName(n.graph.ops, n.Op)
-	if op == nil {
-		panic(fmt.Sprintf("firm: unknown op %q", n.Op))
-	}
-	return len(op.Results)
+	return len(n.graph.ops[n.opIndex].Results)
 }
 
 // ResultKind returns the kind of result r.
@@ -58,9 +74,28 @@ func (n *Node) ResultKind(r int) sem.Kind {
 	case n.IsInitialMem():
 		return sem.KindMem
 	}
-	op := ir.ByName(n.graph.ops, n.Op)
-	return op.Results[r]
+	return n.graph.ops[n.opIndex].Results[r]
 }
+
+// ArgResult returns which result of Args[i] feeds slot i: the first
+// result whose kind is compatible with the slot (used by the
+// instruction selectors to interpret dataflow edges).
+func (n *Node) ArgResult(i int) int {
+	r := n.argResult(i)
+	if r < 0 {
+		panic(fmt.Sprintf("firm: v%d arg %d unresolvable", n.ID, i))
+	}
+	return r
+}
+
+// argResult is ArgResult, -1 when no result of Args[i] has a kind
+// compatible with slot i.
+func (n *Node) argResult(i int) int { return int(n.graph.argResults[int(n.argBase)+i]) }
+
+// NumUses returns how many argument slots of the graph's nodes read
+// this node (a node reading it twice counts twice). Return roots are
+// not included.
+func (n *Node) NumUses() int { return int(n.uses) }
 
 func (n *Node) String() string {
 	s := fmt.Sprintf("v%d = %s", n.ID, n.Op)
@@ -80,6 +115,11 @@ type Ref struct {
 	Result int
 }
 
+// Index returns the ref's dense index in [0, Graph.NumRefs()): every
+// node's results numbered in creation order, so per-result state can
+// live in a slice.
+func (r Ref) Index() int { return int(r.Node.firstRef) + r.Result }
+
 // Graph is one function body: a DAG of nodes with designated parameter
 // nodes, an optional memory chain, and return roots.
 type Graph struct {
@@ -95,6 +135,10 @@ type Graph struct {
 	Returns []Ref
 
 	ops []*sem.Instr
+	// argResults holds every node's ArgResult values (-1 when
+	// unresolvable), from Node.argBase on.
+	argResults []int8
+	numRefs    int
 }
 
 // NewGraph returns an empty graph over the given IR operation set.
@@ -111,16 +155,36 @@ func (g *Graph) Nodes() []*Node { return g.nodes }
 // Params returns the parameter nodes in index order.
 func (g *Graph) Params() []*Node { return g.params }
 
-func (g *Graph) add(n *Node) *Node {
+// NumRefs returns how many node results the graph has (see Ref.Index).
+func (g *Graph) NumRefs() int { return g.numRefs }
+
+// add appends n, an instance of g.ops[opIndex] (or a pseudo-op when
+// opIndex is -1), and resolves what the accessors read.
+func (g *Graph) add(n *Node, opIndex int) *Node {
 	n.ID = len(g.nodes)
 	n.graph = g
+	n.opIndex = int32(opIndex)
+	n.argBase = int32(len(g.argResults))
+	for i, a := range n.Args {
+		picked := int8(-1)
+		for r := 0; r < a.NumResults(); r++ {
+			if a.ResultKind(r).Compatible(g.ops[opIndex].Args[i]) {
+				picked = int8(r)
+				break
+			}
+		}
+		g.argResults = append(g.argResults, picked)
+		a.uses++
+	}
+	n.firstRef = int32(g.numRefs)
+	g.numRefs += n.NumResults()
 	g.nodes = append(g.nodes, n)
 	return n
 }
 
 // Param appends a function parameter of the given kind.
 func (g *Graph) Param(kind sem.Kind) *Node {
-	n := g.add(&Node{Op: "Param", Internals: []uint64{uint64(len(g.params))}})
+	n := g.add(&Node{Op: "Param", Internals: []uint64{uint64(len(g.params))}}, -1)
 	g.params = append(g.params, n)
 	g.paramKinds = append(g.paramKinds, kind)
 	return n
@@ -129,37 +193,43 @@ func (g *Graph) Param(kind sem.Kind) *Node {
 // InitialMem returns (creating on first use) the incoming memory state.
 func (g *Graph) InitialMem() *Node {
 	if g.initialMem == nil {
-		g.initialMem = g.add(&Node{Op: "InitialMem"})
+		g.initialMem = g.add(&Node{Op: "InitialMem"}, -1)
 	}
 	return g.initialMem
+}
+
+// opIndex returns the index of the named operation in g.ops.
+func (g *Graph) opIndex(op string) int {
+	for i, o := range g.ops {
+		if o.Name == op {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("firm: unknown op %q", op))
 }
 
 // New appends an IR operation node. Argument count must match the
 // operation's interface.
 func (g *Graph) New(op string, args ...*Node) *Node {
-	o := ir.ByName(g.ops, op)
-	if o == nil {
-		panic(fmt.Sprintf("firm: unknown op %q", op))
-	}
+	oi := g.opIndex(op)
+	o := g.ops[oi]
 	if len(args) != len(o.Args) {
 		panic(fmt.Sprintf("firm: %s takes %d args, got %d", op, len(o.Args), len(args)))
 	}
 	if len(o.Internals) != 0 {
 		panic(fmt.Sprintf("firm: %s needs internals; use NewI", op))
 	}
-	return g.add(&Node{Op: op, Args: args})
+	return g.add(&Node{Op: op, Args: args}, oi)
 }
 
 // NewI appends an IR operation node with internal attribute values.
 func (g *Graph) NewI(op string, internals []uint64, args ...*Node) *Node {
-	o := ir.ByName(g.ops, op)
-	if o == nil {
-		panic(fmt.Sprintf("firm: unknown op %q", op))
-	}
+	oi := g.opIndex(op)
+	o := g.ops[oi]
 	if len(args) != len(o.Args) || len(internals) != len(o.Internals) {
 		panic(fmt.Sprintf("firm: %s interface mismatch", op))
 	}
-	return g.add(&Node{Op: op, Args: args, Internals: internals})
+	return g.add(&Node{Op: op, Args: args, Internals: internals}, oi)
 }
 
 // Const appends a Const node with the given value.
@@ -189,27 +259,12 @@ func (g *Graph) Users() map[*Node][]*Node {
 // results.
 func (g *Graph) Verify() error {
 	for _, n := range g.nodes {
-		if n.IsPseudo() {
-			continue
-		}
-		op := ir.ByName(g.ops, n.Op)
-		if op == nil {
-			return fmt.Errorf("firm: %s: unknown op %q", g.Name, n.Op)
-		}
 		for i, a := range n.Args {
 			if a.ID >= n.ID {
 				return fmt.Errorf("firm: %s: v%d uses later node v%d", g.Name, n.ID, a.ID)
 			}
-			// The producing result is result 0 unless the arg kind only
-			// matches a later result; resolve kind loosely: some result
-			// of a must be compatible with the arg slot.
-			okKind := false
-			for r := 0; r < a.NumResults(); r++ {
-				if a.ResultKind(r).Compatible(op.Args[i]) {
-					okKind = true
-				}
-			}
-			if !okKind {
+			// Some result of a must be compatible with the arg slot.
+			if n.argResult(i) < 0 {
 				return fmt.Errorf("firm: %s: v%d arg %d kind mismatch (%s)", g.Name, n.ID, i, a.Op)
 			}
 		}

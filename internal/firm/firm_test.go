@@ -120,10 +120,7 @@ func TestVerifyRejectsKindMismatch(t *testing.T) {
 	x := g.Param(sem.KindValue)
 	y := g.Param(sem.KindValue)
 	// Mux wants a Bool first argument; x is a Value.
-	n := &Node{Op: "Mux", Args: []*Node{x, x, y}}
-	g.nodes = append(g.nodes, n)
-	n.ID = len(g.nodes) - 1
-	n.graph = g
+	g.New("Mux", x, x, y)
 	if err := g.Verify(); err == nil {
 		t.Fatalf("kind mismatch must fail verification")
 	}
@@ -151,5 +148,49 @@ func TestStringRendering(t *testing.T) {
 	s := g.String()
 	if s == "" || len(s) < 10 {
 		t.Fatalf("graph rendering too short: %q", s)
+	}
+}
+
+func TestResolvedNodeFacts(t *testing.T) {
+	g := newG("f")
+	p := g.Param(sem.KindValue)
+	ld := g.New("Load", g.InitialMem(), p)
+	sum := g.New("Add", p, p)
+	st := g.New("Store", ld, p, sum)
+	g.Return(Ref{Node: st})
+
+	if !p.IsPseudo() || p.Instr() != nil || p.OpIndex() != -1 {
+		t.Fatalf("param resolved as an operation")
+	}
+	if ld.Instr() == nil || ld.Instr().Name != "Load" || g.Ops()[ld.OpIndex()] != ld.Instr() {
+		t.Fatalf("Load resolved to %v", ld.Instr())
+	}
+	// Store's memory slot reads Load's M result (0), its value slots a
+	// parameter and Add's only result.
+	for i, want := range []int{0, 0, 0} {
+		if got := st.ArgResult(i); got != want {
+			t.Fatalf("Store arg %d consumes result %d, want %d", i, got, want)
+		}
+	}
+	if got := g.New("Not", ld).ArgResult(0); got != 1 {
+		t.Fatalf("Not(Load) consumes result %d, want the value result 1", got)
+	}
+	// p feeds Load, Add twice and Store: four slots.
+	if p.NumUses() != 4 || sum.NumUses() != 1 || st.NumUses() != 0 {
+		t.Fatalf("uses: p %d, sum %d, st %d", p.NumUses(), sum.NumUses(), st.NumUses())
+	}
+	// Ref indexes are dense and distinct across all results.
+	seen := map[int]bool{}
+	for _, n := range g.Nodes() {
+		for r := 0; r < n.NumResults(); r++ {
+			i := Ref{Node: n, Result: r}.Index()
+			if i < 0 || i >= g.NumRefs() || seen[i] {
+				t.Fatalf("v%d.%d: ref index %d (of %d) out of range or reused", n.ID, r, i, g.NumRefs())
+			}
+			seen[i] = true
+		}
+	}
+	if len(seen) != g.NumRefs() {
+		t.Fatalf("%d ref indexes for %d refs", len(seen), g.NumRefs())
 	}
 }

@@ -19,6 +19,8 @@ package isel
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"selgen/internal/firm"
@@ -73,7 +75,8 @@ type SelStats struct {
 // Selector translates firm graphs to machine programs using a compiled
 // rule library and (optionally) a per-node fallback for uncovered
 // nodes. A Selector is immutable after New (aside from internal atomic
-// counters) and safe for concurrent Select calls.
+// counters and its pool of per-call scratch state) and safe for
+// concurrent Select calls.
 type Selector struct {
 	// Compiled is the indexed rule library, built once in New.
 	Compiled *pattern.CompiledLibrary
@@ -98,6 +101,9 @@ type Selector struct {
 	Obs *obs.Tracer
 
 	nodes, rulesTried, trieVisits, matches, fallbacks atomic.Int64
+	// states recycles per-call scratch state (*selection): each Select
+	// call takes one for itself and returns it emptied.
+	states sync.Pool
 }
 
 // New returns a selector over the given library and goal registry. The
@@ -124,21 +130,18 @@ func (s *Selector) Stats() SelStats {
 
 // match is one decided rule application.
 type match struct {
-	rule *pattern.Rule
-	goal *sem.Instr
+	cr *pattern.CompiledRule
 	// nodeMap maps pattern node index → graph node.
 	nodeMap []*firm.Node
-	// argBind maps pattern argument index → graph ref feeding it.
+	// argBind maps pattern argument index → graph ref feeding it (Node
+	// nil when the pattern never references the argument). An
+	// immediate argument binds a Const node, whose value the
+	// instruction encodes.
 	argBind []firm.Ref
-	// imms maps pattern argument index → constant value, for KindImm
-	// arguments bound to Const nodes.
-	imms map[int]uint64
-	// root is the match root node (always the highest-ID match node).
-	root *firm.Node
 }
 
 // decision classifies what happens to each graph node.
-type decision int
+type decision uint8
 
 const (
 	decDead decision = iota
@@ -147,158 +150,214 @@ const (
 	decFallback
 )
 
+// selection is one Select call's state. Everything per node or per
+// result lives in slices indexed by node ID or firm.Ref.Index; the
+// slices are recycled through Selector.states, so a warm Select
+// allocates only the program it returns. A state serves one call at a
+// time, and the program never aliases it.
+type selection struct {
+	s  *Selector
+	c  *pattern.CompiledLibrary
+	g  *firm.Graph
+	st SelStats
+	// operands estimates the program's operand and result count.
+	operands int
+
+	// tok[id] is node id's trie token (pattern.CompiledLibrary.NodeToken).
+	tok []pattern.Token
+	dec []decision
+	// needed[id] is set once a decided consumer reads node id.
+	needed []bool
+	// retained[ref] marks return roots.
+	retained []bool
+	// rooted[id] indexes matches for a decRoot node.
+	rooted  []int32
+	matches []match
+	// nodeArena and argArena back the decided matches' maps.
+	nodeArena []*firm.Node
+	argArena  []firm.Ref
+
+	// The attempt in progress: its rule, root, and maps.
+	cr      *pattern.CompiledRule
+	root    *firm.Node
+	nodeMap []*firm.Node
+	argBind []firm.Ref
+
+	feeders []pattern.Token
+	cand    []int
+
+	// Emission: the program, the machine value of each emitted graph
+	// ref (-1 until emitted), and the array every instruction's operand
+	// and result slices are carved from.
+	prog   *mach.Program
+	vals   []mach.Value
+	valBuf []mach.Value
+}
+
+// reset readies x for selecting g with s.
+func (x *selection) reset(s *Selector, g *firm.Graph) {
+	nodes := g.Nodes()
+	x.s, x.c, x.g, x.st, x.operands = s, s.Compiled, g, SelStats{}, 0
+	x.tok = sized(x.tok, len(nodes))
+	x.dec = sized(x.dec, len(nodes))
+	x.needed = sized(x.needed, len(nodes))
+	x.retained = sized(x.retained, g.NumRefs())
+	x.rooted = sized(x.rooted, len(nodes))
+	x.vals = sized(x.vals, g.NumRefs())
+
+	// Op ids are resolved per operation of the graph's set, not per node.
+	var idBuf [32]pattern.OpID
+	ids := idBuf[:0]
+	for _, o := range g.Ops() {
+		ids = append(ids, x.c.OpID(o.Name))
+	}
+	for _, n := range nodes {
+		op := pattern.NoOp
+		if !n.IsPseudo() {
+			op = ids[n.OpIndex()]
+		}
+		x.tok[n.ID] = x.c.NodeToken(op, n.Internals)
+	}
+	for _, r := range g.Returns {
+		x.retained[r.Index()] = true
+		x.needed[r.Node.ID] = true
+	}
+}
+
+// release drops x's references into the graph, the library and the
+// program, so a pooled state keeps none of them alive.
+func (x *selection) release() {
+	clear(x.matches)
+	clear(x.nodeArena)
+	clear(x.argArena)
+	clear(x.nodeMap)
+	clear(x.argBind)
+	x.matches, x.nodeArena, x.argArena = x.matches[:0], x.nodeArena[:0], x.argArena[:0]
+	x.s, x.c, x.g, x.cr, x.root, x.prog, x.valBuf = nil, nil, nil, nil, nil, nil, nil
+}
+
 // Select translates one graph. Without fallback it fails when a live
 // node is uncovered by the rule library.
 func (s *Selector) Select(g *firm.Graph) (*mach.Program, Coverage, error) {
-	var st SelStats
-	sp := s.Obs.Span(0, "isel.select", obs.Str("graph", g.Name))
-	defer func() {
-		s.nodes.Add(st.Nodes)
-		s.rulesTried.Add(st.RulesTried)
-		s.trieVisits.Add(st.TrieVisits)
-		s.matches.Add(st.Matches)
-		s.fallbacks.Add(st.Fallbacks)
-		if s.Obs != nil {
-			s.Obs.Add("isel.nodes", st.Nodes)
-			s.Obs.Add("isel.rules_tried", st.RulesTried)
-			s.Obs.Add("isel.trie_visits", st.TrieVisits)
-			s.Obs.Add("isel.matches", st.Matches)
-			s.Obs.Add("isel.fallbacks", st.Fallbacks)
-		}
-		sp.End(obs.Int("nodes", st.Nodes), obs.Int("rules_tried", st.RulesTried),
-			obs.Int("matches", st.Matches), obs.Int("fallbacks", st.Fallbacks))
-	}()
-
-	users := g.Users()
-	retained := make(map[firm.Ref]bool)
-	needed := make(map[*firm.Node]bool)
-	for _, r := range g.Returns {
-		retained[firm.Ref{Node: r.Node, Result: r.Result}] = true
-		needed[r.Node] = true
+	var sp obs.Span
+	if s.Obs != nil {
+		sp = s.Obs.Span(0, "isel.select", obs.Str("graph", g.Name))
 	}
+	x, _ := s.states.Get().(*selection)
+	if x == nil {
+		x = new(selection)
+	}
+	x.reset(s, g)
+	x.decide()
+	prog, cov, err := x.emit()
+	s.record(x.st, sp)
+	x.release()
+	s.states.Put(x)
+	return prog, cov, err
+}
 
-	nodes := g.Nodes()
-	dec := make([]decision, len(nodes))
-	rooted := make([]*match, len(nodes))
+// record adds one Select call's effort to the Selector's counters and
+// its tracer.
+func (s *Selector) record(st SelStats, sp obs.Span) {
+	s.nodes.Add(st.Nodes)
+	s.rulesTried.Add(st.RulesTried)
+	s.trieVisits.Add(st.TrieVisits)
+	s.matches.Add(st.Matches)
+	s.fallbacks.Add(st.Fallbacks)
+	if s.Obs == nil {
+		return
+	}
+	s.Obs.Add("isel.nodes", st.Nodes)
+	s.Obs.Add("isel.rules_tried", st.RulesTried)
+	s.Obs.Add("isel.trie_visits", st.TrieVisits)
+	s.Obs.Add("isel.matches", st.Matches)
+	s.Obs.Add("isel.fallbacks", st.Fallbacks)
+	sp.End(obs.Int("nodes", st.Nodes), obs.Int("rules_tried", st.RulesTried),
+		obs.Int("matches", st.Matches), obs.Int("fallbacks", st.Fallbacks))
+}
 
-	needRef := func(r firm.Ref) { needed[r.Node] = true }
-
-	// Per-call scratch buffers (kept off the Selector so concurrent
-	// Select calls never share state).
-	var candBuf []int
-	var feederBuf []pattern.FeederShape
-
-	// Decision pass: roots first (reverse topological order). When we
-	// reach a node, every potential consumer has already recorded
-	// whether it needs this node's value.
+// decide is the decision pass: roots first (reverse topological
+// order). When it reaches a node, every potential consumer has already
+// recorded whether it needs this node's value.
+func (x *selection) decide() {
+	nodes := x.g.Nodes()
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := nodes[i]
-		if n.IsPseudo() || dec[n.ID] == decInterior {
-			continue
+		if n.IsPseudo() || x.dec[n.ID] == decInterior || !x.needed[n.ID] {
+			continue // pseudo, swallowed, or dead
 		}
-		if !needed[n] {
-			continue // dead
-		}
-		st.Nodes++
-		var m *match
-		if s.Linear {
-			for ri := 0; ri < s.Compiled.NumRules(); ri++ {
-				st.RulesTried++
-				if cand := s.tryMatch(g, s.Compiled.At(ri), n, users, retained, dec); cand != nil {
-					m = cand
-					break
-				}
-			}
-		} else {
-			feederBuf = feederBuf[:0]
-			for ai := range n.Args {
-				a := n.Args[ai]
-				feederBuf = append(feederBuf, pattern.FeederShape{
-					Op:        a.Op,
-					Result:    firm.ArgResult(g.Ops(), n, ai),
-					Internals: a.Internals,
-				})
-			}
-			var visits int
-			candBuf, visits = s.Compiled.Lookup(pattern.NodeShape{
-				Op: n.Op, Internals: n.Internals, Args: feederBuf,
-			}, candBuf[:0])
-			st.TrieVisits += int64(visits)
-			for _, ri := range candBuf {
-				st.RulesTried++
-				if cand := s.tryMatch(g, s.Compiled.At(ri), n, users, retained, dec); cand != nil {
-					m = cand
-					break
-				}
-			}
-		}
-		if m != nil {
-			st.Matches++
-			dec[n.ID] = decRoot
-			rooted[n.ID] = m
-			for pi, gn := range m.nodeMap {
-				if gn != n && !isShareable(m.rule.Pattern.Nodes[pi].Op) {
-					dec[gn.ID] = decInterior
+		x.st.Nodes++
+		if cr := x.firstMatch(n); cr != nil {
+			x.st.Matches++
+			x.dec[n.ID] = decRoot
+			x.operands += len(cr.Rule.Pattern.ArgKinds) + len(cr.Goal.Results)
+			m := x.keep(cr)
+			for _, gn := range m.nodeMap {
+				if gn != n && !isShareable(gn.Op) {
+					x.dec[gn.ID] = decInterior
 				}
 			}
 			for ai, ref := range m.argBind {
-				if _, isImm := m.imms[ai]; isImm {
-					continue // the constant is encoded in the instruction
-				}
-				if ref.Node != nil {
-					needRef(ref)
+				// An immediate is encoded in the instruction.
+				if ref.Node != nil && cr.Rule.Pattern.ArgKinds[ai] != sem.KindImm {
+					x.needed[ref.Node.ID] = true
 				}
 			}
 			continue
 		}
-		st.Fallbacks++
-		dec[n.ID] = decFallback
-		for ai := range n.Args {
-			// Fallback encodes Const internals directly; other args are
-			// register operands.
-			needRef(firm.Ref{Node: n.Args[ai], Result: firm.ArgResult(g.Ops(), n, ai)})
+		x.st.Fallbacks++
+		x.dec[n.ID] = decFallback
+		// One operand per IR argument (a Const's immediate for Const),
+		// one result per IR result.
+		x.operands += max(len(n.Args), 1) + n.NumResults()
+		// Fallback encodes Const internals directly; other args are
+		// register operands.
+		for _, a := range n.Args {
+			x.needed[a.ID] = true
 		}
 	}
+}
 
-	// Emission pass: leaves first.
-	prog := mach.NewProgram(g.Name, g.Width, len(g.Params()))
-	refVal := make(map[firm.Ref]mach.Value)
-	for i, p := range g.Params() {
-		refVal[firm.Ref{Node: p}] = mach.Value(i)
+// firstMatch returns the first rule, in specificity rank, that matches
+// rooted at n (leaving its maps in x.nodeMap and x.argBind), or nil.
+func (x *selection) firstMatch(n *firm.Node) *pattern.CompiledRule {
+	if x.s.Linear {
+		for ri := 0; ri < x.c.NumRules(); ri++ {
+			x.st.RulesTried++
+			if cr := x.c.At(ri); x.tryMatch(cr, n) {
+				return cr
+			}
+		}
+		return nil
 	}
-	cov := Coverage{Total: g.NumRealNodes()}
-
-	for _, n := range nodes {
-		switch {
-		case n.IsInitialMem():
-			refVal[firm.Ref{Node: n}] = prog.NewValue()
-		case n.IsPseudo():
-			// Params pre-seeded.
-		case dec[n.ID] == decRoot:
-			m := rooted[n.ID]
-			if err := s.emitMatch(g, prog, m, refVal); err != nil {
-				return nil, cov, err
-			}
-			cov.Covered += matchedRealNodes(m)
-		case dec[n.ID] == decFallback:
-			if !s.Fallback {
-				return nil, cov, fmt.Errorf("isel: %s: no rule matches v%d (%s)", g.Name, n.ID, n.Op)
-			}
-			if err := s.emitFallback(g, prog, n, refVal); err != nil {
-				return nil, cov, err
-			}
-			cov.Fallback++
+	x.feeders = x.feeders[:0]
+	for ai, a := range n.Args {
+		x.feeders = append(x.feeders, x.tok[a.ID].WithResult(n.ArgResult(ai)))
+	}
+	var visits int
+	x.cand, visits = x.c.Lookup(x.tok[n.ID], x.feeders, x.cand[:0])
+	x.st.TrieVisits += int64(visits)
+	for _, ri := range x.cand {
+		x.st.RulesTried++
+		if cr := x.c.At(ri); x.tryMatch(cr, n) {
+			return cr
 		}
 	}
+	return nil
+}
 
-	for _, r := range g.Returns {
-		v, ok := refVal[firm.Ref{Node: r.Node, Result: r.Result}]
-		if !ok {
-			return nil, cov, fmt.Errorf("isel: %s: return ref v%d.%d was never emitted", g.Name, r.Node.ID, r.Result)
-		}
-		prog.Rets = append(prog.Rets, v)
-	}
-	return prog, cov, nil
+// keep records the successful attempt's maps as n's match.
+func (x *selection) keep(cr *pattern.CompiledRule) *match {
+	ns, as := len(x.nodeArena), len(x.argArena)
+	x.nodeArena = append(x.nodeArena, x.nodeMap...)
+	x.argArena = append(x.argArena, x.argBind...)
+	x.rooted[x.root.ID] = int32(len(x.matches))
+	x.matches = append(x.matches, match{
+		cr:      cr,
+		nodeMap: x.nodeArena[ns:len(x.nodeArena):len(x.nodeArena)],
+		argBind: x.argArena[as:len(x.argArena):len(x.argArena)],
+	})
+	return &x.matches[len(x.matches)-1]
 }
 
 // isShareable reports whether a matched interior node may also be used
@@ -306,199 +365,269 @@ func (s *Selector) Select(g *firm.Graph) (*mach.Program, Coverage, error) {
 // match.
 func isShareable(op string) bool { return op == "Const" }
 
-// matchedRealNodes counts the IR operations a match translates
-// (shareable interiors like Const are counted once, at the match that
-// absorbs them; a Const kept alive elsewhere re-emits via fallback).
-func matchedRealNodes(m *match) int { return len(m.nodeMap) }
+// sized returns s resliced to n zero elements, reallocating only when
+// its capacity is short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // tryMatch attempts to match the rule's pattern with its primary
-// result rooted at graph node n. It returns nil on mismatch.
-func (s *Selector) tryMatch(g *firm.Graph, cr *pattern.CompiledRule, n *firm.Node,
-	users map[*firm.Node][]*firm.Node, retained map[firm.Ref]bool, dec []decision) *match {
+// result rooted at graph node n, leaving the maps in x.nodeMap and
+// x.argBind. It allocates nothing once the scratch maps have grown to
+// the library's largest pattern.
+func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 	if cr.Root < 0 {
 		// Identity patterns, unknown goals, and patterns with nodes
 		// unreachable from the root never root a match.
-		return nil
+		return false
 	}
 	p := &cr.Rule.Pattern
-	m := &match{
-		rule:    &cr.Rule,
-		goal:    cr.Goal,
-		nodeMap: make([]*firm.Node, len(p.Nodes)),
-		argBind: make([]firm.Ref, len(p.ArgKinds)),
-		imms:    make(map[int]uint64),
-		root:    n,
+	x.cr, x.root = cr, n
+	x.nodeMap = sized(x.nodeMap, len(p.Nodes))
+	x.argBind = sized(x.argBind, len(p.ArgKinds))
+	if !x.matchNode(cr.Root, n) {
+		return false
 	}
-	bound := make([]bool, len(p.ArgKinds))
-
-	var matchNode func(pi int, gn *firm.Node) bool
-	var matchRef func(pr pattern.ValueRef, gr firm.Ref, kind sem.Kind) bool
-
-	matchNode = func(pi int, gn *firm.Node) bool {
-		if m.nodeMap[pi] != nil {
-			return m.nodeMap[pi] == gn
-		}
-		pn := &p.Nodes[pi]
-		if gn.IsPseudo() || gn.Op != pn.Op {
-			return false
-		}
-		if len(gn.Internals) != len(pn.Internals) {
-			return false
-		}
-		for i := range pn.Internals {
-			if gn.Internals[i] != pn.Internals[i] {
-				return false
-			}
-		}
-		// A node already consumed by another match (or already chosen
-		// as another instruction's root) cannot be interior here.
-		if gn != m.root && dec[gn.ID] != decDead {
-			return false
-		}
-		m.nodeMap[pi] = gn
-		op := ir.ByName(g.Ops(), pn.Op)
-		for i, pa := range pn.Args {
-			gr := firm.Ref{Node: gn.Args[i], Result: firm.ArgResult(g.Ops(), gn, i)}
-			if !matchRef(pa, gr, op.Args[i]) {
-				return false
-			}
-		}
-		return true
-	}
-
-	matchRef = func(pr pattern.ValueRef, gr firm.Ref, kind sem.Kind) bool {
-		if pr.Kind == pattern.RefArg {
-			if bound[pr.Index] {
-				return m.argBind[pr.Index] == gr
-			}
-			if p.ArgKinds[pr.Index] == sem.KindImm {
-				// Immediate operands must match compile-time constants
-				// that the goal's immediate field can encode (ImmOK nil
-				// = any word constant, the x86 behaviour; RISC-style
-				// targets restrict e.g. to sign-extended 12-bit values).
-				if gr.Node.Op != "Const" {
-					return false
-				}
-				v := gr.Node.Internals[0]
-				if m.goal.ImmOK != nil && !m.goal.ImmOK(pr.Index, v, g.Width) {
-					return false
-				}
-				m.imms[pr.Index] = v
-			}
-			bound[pr.Index] = true
-			m.argBind[pr.Index] = gr
-			return true
-		}
-		if gr.Result != pr.Result {
-			return false
-		}
-		return matchNode(pr.Index, gr.Node)
-	}
-
-	if !matchNode(cr.Root, n) {
-		return nil
-	}
-	for pi := range p.Nodes {
-		if m.nodeMap[pi] == nil {
-			return nil // unmatched pattern node (dead node in pattern)
+	for _, gn := range x.nodeMap {
+		if gn == nil {
+			return false // unmatched pattern node (dead node in pattern)
 		}
 	}
 
 	// Non-overlap check: every matched node's results may only be used
 	// inside the match or exposed as a pattern result.
-	inMatch := make(map[*firm.Node]bool, len(m.nodeMap))
-	for _, gn := range m.nodeMap {
-		inMatch[gn] = true
-	}
-	exposed := make(map[firm.Ref]bool)
-	for _, res := range p.Results {
-		if res.Kind == pattern.RefNode {
-			exposed[firm.Ref{Node: m.nodeMap[res.Index], Result: res.Result}] = true
-		}
-	}
-	for pi, gn := range m.nodeMap {
-		if isShareable(p.Nodes[pi].Op) {
+	for _, gn := range x.nodeMap {
+		if isShareable(gn.Op) {
 			continue
 		}
+		hidden := false
 		for rr := 0; rr < gn.NumResults(); rr++ {
-			ref := firm.Ref{Node: gn, Result: rr}
-			if exposed[ref] {
+			if x.exposed(gn, rr) {
 				continue
 			}
-			if retained[ref] {
-				return nil
+			if x.retained[firm.Ref{Node: gn, Result: rr}.Index()] {
+				return false
 			}
-			for _, u := range users[gn] {
-				if !inMatch[u] {
-					return nil
-				}
-			}
+			hidden = true
+		}
+		if hidden && x.usesInMatch(gn) != gn.NumUses() {
+			return false
 		}
 	}
 
 	// Argument bindings must come from outside the match (or from a
 	// shareable node, or an exposed result): an operand produced by a
 	// swallowed interior value would have no register to live in.
-	for ai := range m.argBind {
-		if !bound[ai] {
+	for _, ref := range x.argBind {
+		if ref.Node == nil || !slices.Contains(x.nodeMap, ref.Node) {
 			continue
 		}
-		ref := m.argBind[ai]
-		if ref.Node == nil || !inMatch[ref.Node] {
+		if isShareable(ref.Node.Op) || x.exposed(ref.Node, ref.Result) {
 			continue
 		}
-		if isShareable(ref.Node.Op) || exposed[ref] {
-			continue
-		}
-		return nil
+		return false
 	}
 
 	// The root must be the last matched node so its operands are all
 	// emitted before the instruction.
-	for _, gn := range m.nodeMap {
+	for _, gn := range x.nodeMap {
 		if gn.ID > n.ID {
-			return nil
+			return false
 		}
 	}
-	return m
+	return true
+}
+
+// matchNode matches pattern node pi against graph node gn.
+func (x *selection) matchNode(pi int, gn *firm.Node) bool {
+	if m := x.nodeMap[pi]; m != nil {
+		return m == gn
+	}
+	// Equal tokens mean equal op and internals; pseudo nodes match no
+	// pattern node.
+	if x.tok[gn.ID] != x.cr.Tokens[pi] {
+		return false
+	}
+	// A node already consumed by another match (or already chosen as
+	// another instruction's root) cannot be interior here.
+	if gn != x.root && x.dec[gn.ID] != decDead {
+		return false
+	}
+	x.nodeMap[pi] = gn
+	for i, pa := range x.cr.Rule.Pattern.Nodes[pi].Args {
+		if !x.matchRef(pa, firm.Ref{Node: gn.Args[i], Result: gn.ArgResult(i)}) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchRef matches a pattern value reference against the graph ref gr.
+func (x *selection) matchRef(pr pattern.ValueRef, gr firm.Ref) bool {
+	if pr.Kind != pattern.RefArg {
+		return gr.Result == pr.Result && x.matchNode(pr.Index, gr.Node)
+	}
+	if b := x.argBind[pr.Index]; b.Node != nil {
+		return b == gr
+	}
+	if x.cr.Rule.Pattern.ArgKinds[pr.Index] == sem.KindImm {
+		// Immediate operands must match compile-time constants that the
+		// goal's immediate field can encode (ImmOK nil = any word
+		// constant, the x86 behaviour; RISC-style targets restrict e.g.
+		// to sign-extended 12-bit values).
+		if gr.Node.Op != "Const" {
+			return false
+		}
+		goal := x.cr.Goal
+		if goal.ImmOK != nil && !goal.ImmOK(pr.Index, gr.Node.Internals[0], x.g.Width) {
+			return false
+		}
+	}
+	x.argBind[pr.Index] = gr
+	return true
+}
+
+// exposed reports whether result r of matched node gn is a result of
+// the attempted pattern.
+func (x *selection) exposed(gn *firm.Node, r int) bool {
+	for _, res := range x.cr.Rule.Pattern.Results {
+		if res.Kind == pattern.RefNode && res.Result == r && x.nodeMap[res.Index] == gn {
+			return true
+		}
+	}
+	return false
+}
+
+// usesInMatch counts the argument slots of the matched nodes (each
+// counted once, however many pattern nodes map to it) that read gn.
+func (x *selection) usesInMatch(gn *firm.Node) int {
+	uses := 0
+	for pi, u := range x.nodeMap {
+		if slices.Contains(x.nodeMap[:pi], u) {
+			continue
+		}
+		for _, a := range u.Args {
+			if a == gn {
+				uses++
+			}
+		}
+	}
+	return uses
+}
+
+// emit is the emission pass: leaves first.
+func (x *selection) emit() (*mach.Program, Coverage, error) {
+	g := x.g
+	for i := range x.vals {
+		x.vals[i] = -1
+	}
+	for i, p := range g.Params() {
+		x.vals[firm.Ref{Node: p}.Index()] = mach.Value(i)
+	}
+	x.prog = mach.NewProgram(g.Name, g.Width, len(g.Params()))
+	x.prog.Instrs = make([]mach.Instr, 0, x.st.Matches+x.st.Fallbacks)
+	x.valBuf = make([]mach.Value, 0, x.operands)
+	cov := Coverage{Total: g.NumRealNodes()}
+
+	for _, n := range g.Nodes() {
+		switch {
+		case n.IsInitialMem():
+			x.vals[firm.Ref{Node: n}.Index()] = x.prog.NewValue()
+		case n.IsPseudo():
+			// Params pre-seeded.
+		case x.dec[n.ID] == decRoot:
+			m := &x.matches[x.rooted[n.ID]]
+			if err := x.emitMatch(m); err != nil {
+				return nil, cov, err
+			}
+			// Shareable interiors like Const are counted at every match
+			// that absorbs them; a Const kept alive elsewhere re-emits
+			// via fallback.
+			cov.Covered += len(m.nodeMap)
+		case x.dec[n.ID] == decFallback:
+			if !x.s.Fallback {
+				return nil, cov, fmt.Errorf("isel: %s: no rule matches v%d (%s)", g.Name, n.ID, n.Op)
+			}
+			if err := x.emitFallback(n); err != nil {
+				return nil, cov, err
+			}
+			cov.Fallback++
+		}
+	}
+
+	x.prog.Rets = make([]mach.Value, 0, len(g.Returns))
+	for _, r := range g.Returns {
+		v := x.vals[r.Index()]
+		if v < 0 {
+			return nil, cov, fmt.Errorf("isel: %s: return ref v%d.%d was never emitted", g.Name, r.Node.ID, r.Result)
+		}
+		x.prog.Rets = append(x.prog.Rets, v)
+	}
+	return x.prog, cov, nil
+}
+
+// values carves an n-value slice out of the program's value array
+// (growing it when the estimate falls short).
+func (x *selection) values(n int) []mach.Value {
+	if len(x.valBuf)+n > cap(x.valBuf) {
+		x.valBuf = make([]mach.Value, 0, max(n, 2*cap(x.valBuf)))
+	}
+	l := len(x.valBuf)
+	x.valBuf = x.valBuf[:l+n]
+	return x.valBuf[l : l+n : l+n]
+}
+
+// newResults allocates an instruction's result values.
+func (x *selection) newResults(goal *sem.Instr) []mach.Value {
+	rs := x.values(len(goal.Results))
+	for i := range rs {
+		rs[i] = x.prog.NewValue()
+	}
+	return rs
+}
+
+// setImm pins immediate operand ai of in, creating in.Imms on first use.
+func setImm(in *mach.Instr, ai int, v uint64) {
+	if in.Imms == nil {
+		in.Imms = make(map[int]uint64, 1)
+	}
+	in.Imms[ai] = v
 }
 
 // emitMatch emits the machine instruction for a decided match.
-func (s *Selector) emitMatch(g *firm.Graph, prog *mach.Program, m *match, refVal map[firm.Ref]mach.Value) error {
-	goal := m.goal
-	in := mach.Instr{Goal: goal, Imms: m.imms}
-	for ai := range m.rule.Pattern.ArgKinds {
-		if _, isImm := m.imms[ai]; isImm {
-			in.Args = append(in.Args, 0)
-			continue
-		}
-		ref := m.argBind[ai]
-		if ref.Node == nil {
+func (x *selection) emitMatch(m *match) error {
+	p := &m.cr.Rule.Pattern
+	in := mach.Instr{Goal: m.cr.Goal, Args: x.values(len(p.ArgKinds))}
+	for ai, ref := range m.argBind {
+		switch {
+		case ref.Node == nil:
 			// The pattern never references this argument; verification
 			// then proved the goal is independent of it (under the
 			// pattern's precondition), so any operand works.
-			in.Imms[ai] = 0
-			in.Args = append(in.Args, 0)
-			continue
+			setImm(&in, ai, 0)
+		case p.ArgKinds[ai] == sem.KindImm:
+			setImm(&in, ai, ref.Node.Internals[0])
+		default:
+			v := x.vals[ref.Index()]
+			if v < 0 {
+				return fmt.Errorf("isel: %s: operand v%d.%d of %s not yet emitted", x.g.Name, ref.Node.ID, ref.Result, m.cr.Rule.Goal)
+			}
+			in.Args[ai] = v
 		}
-		v, ok := refVal[ref]
-		if !ok {
-			return fmt.Errorf("isel: %s: operand v%d.%d of %s not yet emitted", g.Name, ref.Node.ID, ref.Result, m.rule.Goal)
-		}
-		in.Args = append(in.Args, v)
 	}
-	for range goal.Results {
-		in.Results = append(in.Results, prog.NewValue())
-	}
-	prog.Append(in)
+	in.Results = x.newResults(in.Goal)
+	x.prog.Append(in)
 	// Publish the produced refs. Identity (RefArg) results need no
 	// publication: the bound operand already has a value.
-	for ri, res := range m.rule.Pattern.Results {
-		if res.Kind != pattern.RefNode {
-			continue
+	for ri, res := range p.Results {
+		if res.Kind == pattern.RefNode {
+			x.vals[firm.Ref{Node: m.nodeMap[res.Index], Result: res.Result}.Index()] = in.Results[ri]
 		}
-		gr := firm.Ref{Node: m.nodeMap[res.Index], Result: res.Result}
-		refVal[gr] = in.Results[ri]
 	}
 	return nil
 }
@@ -561,34 +690,32 @@ func (s *Selector) fallbackGoal(n *firm.Node) *sem.Instr {
 }
 
 // emitFallback translates one node directly.
-func (s *Selector) emitFallback(g *firm.Graph, prog *mach.Program, n *firm.Node, refVal map[firm.Ref]mach.Value) error {
-	goal := s.fallbackGoal(n)
+func (x *selection) emitFallback(n *firm.Node) error {
+	goal := x.s.fallbackGoal(n)
 	if goal == nil {
-		return fmt.Errorf("isel: %s: no fallback for op %s", g.Name, n.Op)
+		return fmt.Errorf("isel: %s: no fallback for op %s", x.g.Name, n.Op)
 	}
-	in := mach.Instr{Goal: goal, Imms: map[int]uint64{}}
+	in := mach.Instr{Goal: goal}
 	if n.Op == "Const" {
-		in.Imms[0] = n.Internals[0]
-		in.Args = append(in.Args, 0)
+		in.Args = x.values(1)
+		setImm(&in, 0, n.Internals[0])
 	} else {
 		// IR argument order matches the machine instruction's operand
 		// order for every fallback pair (Cmp's relation internal is
 		// carried by the condition code).
-		for i := range n.Args {
-			ref := firm.Ref{Node: n.Args[i], Result: firm.ArgResult(g.Ops(), n, i)}
-			v, ok := refVal[ref]
-			if !ok {
-				return fmt.Errorf("isel: %s: fallback operand v%d not emitted", g.Name, ref.Node.ID)
+		in.Args = x.values(len(n.Args))
+		for i, a := range n.Args {
+			v := x.vals[firm.Ref{Node: a, Result: n.ArgResult(i)}.Index()]
+			if v < 0 {
+				return fmt.Errorf("isel: %s: fallback operand v%d not emitted", x.g.Name, a.ID)
 			}
-			in.Args = append(in.Args, v)
+			in.Args[i] = v
 		}
 	}
-	for range goal.Results {
-		in.Results = append(in.Results, prog.NewValue())
-	}
-	prog.Append(in)
+	in.Results = x.newResults(goal)
+	x.prog.Append(in)
 	for r := 0; r < n.NumResults() && r < len(in.Results); r++ {
-		refVal[firm.Ref{Node: n, Result: r}] = in.Results[r]
+		x.vals[firm.Ref{Node: n, Result: r}.Index()] = in.Results[r]
 	}
 	return nil
 }

@@ -123,6 +123,21 @@ func TestNoFusionWhenLoadShared(t *testing.T) {
 	}
 }
 
+func TestNoFusionWhenInteriorReturned(t *testing.T) {
+	// The loaded value's only user is the add, but the value is also a
+	// return root: fusing would leave it in no register.
+	g := newG("f")
+	p := g.Param(sem.KindValue)
+	y := g.Param(sem.KindValue)
+	ld := g.New("Load", g.InitialMem(), p)
+	sum := g.New("Add", y, ld)
+	g.Return(firm.Ref{Node: sum}, firm.Ref{Node: ld, Result: 0}, firm.Ref{Node: ld, Result: 1})
+	_, n := selectAndCheck(t, handwritten(t), g, []uint64{0x20, 7}, map[uint64]uint64{0x20: 5})
+	if n != 2 {
+		t.Fatalf("returned load value must not fuse: want 2 instructions (mov, add), got %d", n)
+	}
+}
+
 func TestSelectRMWFusion(t *testing.T) {
 	g := newG("f")
 	p := g.Param(sem.KindValue)

@@ -14,13 +14,16 @@
 //
 // Argument-position tokens:
 //
-//	"*"            a pattern argument of any non-immediate kind
-//	               (matches every feeder)
-//	"#"            an immediate pattern argument (matches only Const
-//	               feeders)
-//	"@Op.r[ints]"  a pattern sub-node: operation Op, consumed result r,
-//	               exact internal values ints (matches only a feeder
-//	               node with identical op, result, and internals)
+//	any          a pattern argument of any non-immediate kind (matches
+//	             every feeder)
+//	imm          an immediate pattern argument (matches only Const
+//	             feeders)
+//	Op.r[ints]   a pattern sub-node: operation Op, consumed result r,
+//	             exact internal values ints (matches only a feeder node
+//	             with identical op, result, and internals)
+//
+// Tokens are exact packed integers (see Token), built without strings
+// on both the insert and the lookup side.
 //
 // The trie over-approximates: a retrieved rule may still fail the full
 // structural match (deeper levels, DAG sharing, the non-overlap rule),
@@ -32,55 +35,85 @@
 package pattern
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"selgen/internal/sem"
 )
 
-// Shape tokens for pattern-argument (wildcard) positions.
+// OpID is an operation's id in one CompiledLibrary, fixed by Compile.
+type OpID uint16
+
+// NoOp is the OpID of every operation no rule of the library uses; no
+// trie edge or pattern node carries it.
+const NoOp OpID = 1<<16 - 1
+
+// opConst is the id Compile always gives "Const": immediate edges
+// match only Const feeders.
+const opConst OpID = 1
+
+// Token is an exact trie-edge key. A node token packs an op id (bits
+// 48–63), a consumed result index (bits 32–47, 0 for a node's own
+// identity) and the id of the node's internal values (bits 0–31). The
+// wildcard tokens tokAny and tokImm carry op id 0, which no operation
+// has, so they never collide with a node token.
+type Token uint64
+
 const (
-	tokAny = "*"
-	tokImm = "#"
+	tokAny Token = iota
+	tokImm
 )
 
-// internalsToken encodes a node's internal attribute values as one
-// trie-edge token ("" when the operation has no internals).
-func internalsToken(vals []uint64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatUint(v, 10))
-	}
-	return sb.String()
-}
+const (
+	opShift  = 48
+	resShift = 32
+	// noInternals is the internals id of tuples no rule carries.
+	noInternals = 1<<32 - 1
+)
 
-// feederToken encodes a concrete feeder — a pattern sub-node on the
-// insert side, a graph argument's producing node on the lookup side.
-func feederToken(op string, result int, internals []uint64) string {
-	var sb strings.Builder
-	sb.WriteByte('@')
-	sb.WriteString(op)
-	sb.WriteByte('.')
-	sb.WriteString(strconv.Itoa(result))
-	sb.WriteByte('[')
-	sb.WriteString(internalsToken(internals))
-	sb.WriteByte(']')
-	return sb.String()
-}
+// WithResult returns the token of an argument slot that consumes
+// result r of the node whose token t is.
+func (t Token) WithResult(r int) Token { return t | Token(r)<<resShift }
 
-// shapeNode is one discrimination-trie node. Levels are: root op →
-// root internals → one level per root argument position. Rule indexes
-// live at full depth, in ascending specificity-rank order.
-type shapeNode struct {
-	next  map[string]*shapeNode
+func (t Token) op() OpID { return OpID(t >> opShift) }
+
+func (t Token) internals() Token { return t & noInternals }
+
+// trieNode is one discrimination-trie node. Levels are: root op (the
+// roots table) → root internals → one level per root argument
+// position. Edges are sorted by token; rule indexes live at full
+// depth, in ascending specificity-rank order.
+type trieNode struct {
+	edges []trieEdge
 	rules []int
+}
+
+type trieEdge struct {
+	tok   Token
+	child int32
+}
+
+// child returns the node the edge labelled tok leads to, or 0 (the
+// unused sentinel node) when there is none.
+func (n *trieNode) child(tok Token) int32 {
+	i, ok := n.search(tok)
+	if !ok {
+		return 0
+	}
+	return n.edges[i].child
+}
+
+// search binary-searches the sorted edges for tok.
+func (n *trieNode) search(tok Token) (int, bool) {
+	lo, hi := 0, len(n.edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n.edges[m].tok < tok {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(n.edges) && n.edges[lo].tok == tok
 }
 
 // CompiledRule is one rule of a CompiledLibrary: the expanded-
@@ -96,6 +129,10 @@ type CompiledRule struct {
 	// can never root a match: unknown goal, an identity (argument)
 	// primary result, or pattern nodes unreachable from the root.
 	Root int
+	// Tokens holds each pattern node's token (op and internals), so the
+	// matcher compares a graph node against a pattern node with one
+	// integer comparison (see CompiledLibrary.NodeToken).
+	Tokens []Token
 }
 
 // CompiledLibrary is the selector-facing compiled form of a Library:
@@ -103,9 +140,18 @@ type CompiledRule struct {
 // trie that indexes them. It is immutable after Compile and safe for
 // concurrent lookups from multiple goroutines.
 type CompiledLibrary struct {
-	width   int
-	rules   []CompiledRule
-	trie    *shapeNode
+	width int
+	rules []CompiledRule
+	// ops gives every operation the patterns use an id; ints interns
+	// internal-value tuples: the tuple (v0..vk) has id
+	// ints[{id(v0..vk-1), vk}], the empty tuple id 0.
+	ops  map[string]OpID
+	ints map[[2]uint64]uint32
+	// nodes[0] is an unused sentinel, so child index 0 means "none";
+	// roots[op] is the op-level node of operation op (0 when no indexed
+	// rule is rooted at it).
+	nodes   []trieNode
+	roots   []int32
 	indexed int
 	maxSize int
 }
@@ -121,18 +167,86 @@ func Compile(lib *Library, goals map[string]*sem.Instr) *CompiledLibrary {
 	c := &CompiledLibrary{
 		width: ex.Width,
 		rules: make([]CompiledRule, len(ex.Rules)),
-		trie:  &shapeNode{next: make(map[string]*shapeNode)},
+		ops:   map[string]OpID{"Const": opConst},
+		ints:  map[[2]uint64]uint32{},
+		nodes: make([]trieNode, 1),
 	}
 	for i, r := range ex.Rules {
 		goal := goals[r.Goal]
-		c.rules[i] = CompiledRule{Rule: r, Goal: goal}
-		c.rules[i].Root = matchRoot(&c.rules[i].Rule.Pattern, goal)
+		cr := &c.rules[i]
+		*cr = CompiledRule{Rule: r, Goal: goal, Tokens: make([]Token, len(r.Pattern.Nodes))}
+		cr.Root = matchRoot(&cr.Rule.Pattern, goal)
+		for pi := range r.Pattern.Nodes {
+			pn := &r.Pattern.Nodes[pi]
+			cr.Tokens[pi] = nodeToken(c.opID(pn.Op), c.intern(pn.Internals))
+		}
 		if s := r.Pattern.Size(); s > c.maxSize {
 			c.maxSize = s
 		}
 		c.insert(i)
 	}
 	return c
+}
+
+func nodeToken(op OpID, internals uint32) Token {
+	return Token(op)<<opShift | Token(internals)
+}
+
+// opID returns op's id, assigning the next free one on first use
+// (Compile only).
+func (c *CompiledLibrary) opID(op string) OpID {
+	id, ok := c.ops[op]
+	if !ok {
+		id = OpID(len(c.ops) + 1)
+		c.ops[op] = id
+	}
+	return id
+}
+
+// intern returns the id of an internal-value tuple, assigning fresh
+// ids on first use (Compile only).
+func (c *CompiledLibrary) intern(vals []uint64) uint32 {
+	id := uint32(0)
+	for _, v := range vals {
+		k := [2]uint64{uint64(id), v}
+		next, ok := c.ints[k]
+		if !ok {
+			next = uint32(len(c.ints) + 1)
+			c.ints[k] = next
+		}
+		id = next
+	}
+	return id
+}
+
+// OpID returns the id Compile gave the named operation, or NoOp when no
+// rule uses it.
+func (c *CompiledLibrary) OpID(name string) OpID {
+	if id, ok := c.ops[name]; ok {
+		return id
+	}
+	return NoOp
+}
+
+// NodeToken returns the token of a graph node with operation op (an id
+// from OpID) and the given internal values: what Lookup takes for a
+// root and, through Token.WithResult, for a feeder, and what
+// CompiledRule.Tokens holds for a pattern node. A node whose op or
+// internals no rule carries gets a token no trie edge or pattern node
+// has.
+func (c *CompiledLibrary) NodeToken(op OpID, internals []uint64) Token {
+	if op == NoOp {
+		return nodeToken(NoOp, 0)
+	}
+	id := uint32(0)
+	for _, v := range internals {
+		next, ok := c.ints[[2]uint64{uint64(id), v}]
+		if !ok {
+			return nodeToken(op, noInternals)
+		}
+		id = next
+	}
+	return nodeToken(op, id)
 }
 
 // matchRoot computes the root pattern node the matcher anchors at, or
@@ -189,8 +303,14 @@ func (c *CompiledLibrary) insert(ri int) {
 	}
 	p := &cr.Rule.Pattern
 	rn := &p.Nodes[cr.Root]
-	node := c.step(c.trie, rn.Op)
-	node = c.step(node, internalsToken(rn.Internals))
+	root := cr.Tokens[cr.Root]
+	if int(root.op()) >= len(c.roots) {
+		c.roots = append(c.roots, make([]int32, int(root.op())+1-len(c.roots))...)
+	}
+	if c.roots[root.op()] == 0 {
+		c.roots[root.op()] = c.newNode()
+	}
+	node := c.step(c.roots[root.op()], root.internals())
 	for _, a := range rn.Args {
 		switch {
 		case a.Kind == RefArg && p.ArgKinds[a.Index] == sem.KindImm:
@@ -198,81 +318,76 @@ func (c *CompiledLibrary) insert(ri int) {
 		case a.Kind == RefArg:
 			node = c.step(node, tokAny)
 		default:
-			sn := &p.Nodes[a.Index]
-			node = c.step(node, feederToken(sn.Op, a.Result, sn.Internals))
+			node = c.step(node, cr.Tokens[a.Index].WithResult(a.Result))
 		}
 	}
-	node.rules = append(node.rules, ri)
+	c.nodes[node].rules = append(c.nodes[node].rules, ri)
 	c.indexed++
 }
 
-func (c *CompiledLibrary) step(n *shapeNode, tok string) *shapeNode {
-	child := n.next[tok]
-	if child == nil {
-		child = &shapeNode{next: make(map[string]*shapeNode)}
-		n.next[tok] = child
+func (c *CompiledLibrary) newNode() int32 {
+	c.nodes = append(c.nodes, trieNode{})
+	return int32(len(c.nodes) - 1)
+}
+
+// step returns the child of node ni along tok, creating it (and keeping
+// the edges sorted) when absent.
+func (c *CompiledLibrary) step(ni int32, tok Token) int32 {
+	i, ok := c.nodes[ni].search(tok)
+	if ok {
+		return c.nodes[ni].edges[i].child
 	}
+	child := c.newNode()
+	n := &c.nodes[ni]
+	n.edges = slices.Insert(n.edges, i, trieEdge{tok, child})
 	return child
 }
 
-// FeederShape describes what produces one argument of a graph node:
-// the producing node's op, the consumed result index, and the
-// producing node's internal values.
-type FeederShape struct {
-	Op        string
-	Result    int
-	Internals []uint64
-}
-
-// NodeShape is a graph node's neighborhood as the trie sees it.
-type NodeShape struct {
-	Op        string
-	Internals []uint64
-	Args      []FeederShape
-}
-
 // Lookup appends to buf the indexes of every indexed rule whose shape
-// is compatible with the node neighborhood, in ascending specificity
-// rank (the order the linear scanner tries rules), and reports how
-// many trie nodes were visited. Rules outside the result can never
-// match the node; rules inside still need the full structural match.
-func (c *CompiledLibrary) Lookup(ns NodeShape, buf []int) ([]int, int) {
-	visits := 1
-	node := c.trie.next[ns.Op]
-	if node == nil {
-		return buf, visits
+// is compatible with a graph node — its own token root (from
+// NodeToken) and one token per argument, feeders[i] for the result
+// feeding slot i (NodeToken(...).WithResult(r)) — in ascending
+// specificity rank (the order the linear scanner tries rules), and
+// reports how many trie nodes were visited. Rules outside the result
+// can never match the node; rules inside still need the full
+// structural match.
+func (c *CompiledLibrary) Lookup(root Token, feeders []Token, buf []int) ([]int, int) {
+	op := root.op()
+	if int(op) >= len(c.roots) || c.roots[op] == 0 {
+		return buf, 1
 	}
-	visits++
-	node = node.next[internalsToken(ns.Internals)]
-	if node == nil {
-		return buf, visits
+	node := c.nodes[c.roots[op]].child(root.internals())
+	if node == 0 {
+		return buf, 2
 	}
 	start := len(buf)
-	var walk func(n *shapeNode, depth int)
-	walk = func(n *shapeNode, depth int) {
-		visits++
-		if depth == len(ns.Args) {
-			buf = append(buf, n.rules...)
-			return
-		}
-		f := &ns.Args[depth]
-		if ch := n.next[tokAny]; ch != nil {
-			walk(ch, depth+1)
-		}
-		if f.Op == "Const" {
-			if ch := n.next[tokImm]; ch != nil {
-				walk(ch, depth+1)
-			}
-		}
-		if ch := n.next[feederToken(f.Op, f.Result, f.Internals)]; ch != nil {
-			walk(ch, depth+1)
-		}
-	}
-	walk(node, 0)
+	buf, visits := c.walk(node, feeders, buf)
 	// Each rule has exactly one shape path, and distinct explored paths
 	// are distinct token sequences, so no rule appears twice; merging
 	// the (individually ascending) leaf lists is a plain sort.
-	sort.Ints(buf[start:])
+	slices.Sort(buf[start:])
+	return buf, 2 + visits
+}
+
+// walk appends the rules below node ni compatible with the remaining
+// feeders and returns how many trie nodes it visited.
+func (c *CompiledLibrary) walk(ni int32, feeders []Token, buf []int) ([]int, int) {
+	n := &c.nodes[ni]
+	if len(feeders) == 0 {
+		return append(buf, n.rules...), 1
+	}
+	visits := 1
+	f, rest := feeders[0], feeders[1:]
+	for _, tok := range [...]Token{tokAny, tokImm, f} {
+		if tok == tokImm && f.op() != opConst {
+			continue
+		}
+		if ch := n.child(tok); ch != 0 {
+			var v int
+			buf, v = c.walk(ch, rest, buf)
+			visits += v
+		}
+	}
 	return buf, visits
 }
 

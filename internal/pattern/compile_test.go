@@ -59,6 +59,31 @@ func compileLib(t *testing.T, rules ...Rule) *CompiledLibrary {
 	return Compile(lib, x86.Registry())
 }
 
+// FeederShape describes what produces one argument of a graph node:
+// the producing node's op, the consumed result index, and the
+// producing node's internal values.
+type FeederShape struct {
+	Op        string
+	Result    int
+	Internals []uint64
+}
+
+// NodeShape is a graph node's neighborhood by op names.
+type NodeShape struct {
+	Op        string
+	Internals []uint64
+	Args      []FeederShape
+}
+
+// lookup runs Lookup on the tokens of a named shape.
+func lookup(c *CompiledLibrary, ns NodeShape, buf []int) ([]int, int) {
+	var feeders []Token
+	for _, f := range ns.Args {
+		feeders = append(feeders, c.NodeToken(c.OpID(f.Op), f.Internals).WithResult(f.Result))
+	}
+	return c.Lookup(c.NodeToken(c.OpID(ns.Op), ns.Internals), feeders, buf)
+}
+
 // linearCandidates returns, in try order, the compiled-rule indexes a
 // shape-blind scan would offer — i.e. every indexed rule. It is the
 // reference Lookup must be a shape-filtered subsequence of.
@@ -116,7 +141,7 @@ func TestCompileSelfLookupComplete(t *testing.T) {
 		if c.At(i).Root < 0 {
 			continue
 		}
-		got, _ := c.Lookup(selfShape(c, i), nil)
+		got, _ := lookup(c, selfShape(c, i), nil)
 		found := false
 		for _, ri := range got {
 			if ri == i {
@@ -138,7 +163,7 @@ func TestLookupPreservesSpecificityOrder(t *testing.T) {
 	ns := NodeShape{Op: "Add", Args: []FeederShape{
 		{Op: "Shl"}, {Op: "Const", Internals: []uint64{7}},
 	}}
-	got, _ := c.Lookup(ns, nil)
+	got, _ := lookup(c, ns, nil)
 	if len(got) == 0 {
 		t.Fatalf("no candidates for Add(x, Const)")
 	}
@@ -163,7 +188,7 @@ func TestLookupImmEdgeNeedsConstFeeder(t *testing.T) {
 	c := compileLib(t, ruleAdd(), ruleAddImm())
 	// Non-Const feeder: the imm rule must be filtered out, the plain
 	// register rule retained.
-	got, _ := c.Lookup(NodeShape{Op: "Add", Args: []FeederShape{
+	got, _ := lookup(c, NodeShape{Op: "Add", Args: []FeederShape{
 		{Op: "Shl"}, {Op: "Shl"},
 	}}, nil)
 	for _, ri := range got {
@@ -180,10 +205,10 @@ func TestLookupMissesForeignShapes(t *testing.T) {
 	c := compileLib(t, ruleAdd(), ruleAndn(), ruleBlsrConst())
 	for _, ns := range []NodeShape{
 		{Op: "Mul", Args: []FeederShape{{Op: "Shl"}, {Op: "Shl"}}}, // no Mul rules
-		{Op: "Add"},                // arity differs from every Add pattern root
+		{Op: "Add"}, // arity differs from every Add pattern root
 		{Op: "Const", Internals: []uint64{3}},
 	} {
-		if got, _ := c.Lookup(ns, nil); len(got) != 0 {
+		if got, _ := lookup(c, ns, nil); len(got) != 0 {
 			t.Fatalf("shape %+v unexpectedly retrieved %v", ns, got)
 		}
 	}
@@ -243,7 +268,7 @@ func TestLookupIsSubsequenceOfLinear(t *testing.T) {
 		{Op: "And", Args: []FeederShape{{Op: "Sub"}, {Op: "Shl"}}},
 	}
 	for _, ns := range shapes {
-		got, _ := c.Lookup(ns, nil)
+		got, _ := lookup(c, ns, nil)
 		// Subsequence check against the full indexed-rule order.
 		j := 0
 		for _, ri := range got {
@@ -262,9 +287,67 @@ func TestLookupReusesBuffer(t *testing.T) {
 	c := compileLib(t, ruleAdd(), ruleAddImm())
 	buf := make([]int, 0, 8)
 	ns := NodeShape{Op: "Add", Args: []FeederShape{{Op: "Shl"}, {Op: "Const", Internals: []uint64{1}}}}
-	got1, _ := c.Lookup(ns, buf)
-	got2, _ := c.Lookup(ns, got1[:0])
+	got1, _ := lookup(c, ns, buf)
+	got2, _ := lookup(c, ns, got1[:0])
 	if !reflect.DeepEqual(got1, got2) {
 		t.Fatalf("buffer reuse changed results: %v vs %v", got1, got2)
+	}
+}
+
+func TestTokensAreExact(t *testing.T) {
+	c := compileLib(t, ruleAdd(), ruleAddImm(), ruleAndn(), ruleBlsrConst())
+	// Interned tuples: equal tuples share an id, a tuple and its
+	// extension or permutation do not.
+	if c.intern(nil) != 0 || c.intern([]uint64{1, 2}) != c.intern([]uint64{1, 2}) {
+		t.Fatalf("interning is not a function of the tuple")
+	}
+	ids := map[uint32]bool{}
+	for _, tup := range [][]uint64{nil, {1}, {2}, {1, 2}, {2, 1}, {1, 2, 3}} {
+		ids[c.intern(tup)] = true
+	}
+	if len(ids) != 6 {
+		t.Fatalf("six distinct tuples got %d ids", len(ids))
+	}
+
+	// blsr's Const(1) sub-node: the graph-side token of Const 1 equals
+	// the pattern node's, Const 2 (never interned) and an unknown op
+	// equal no pattern node's token.
+	var blsr *CompiledRule
+	for i := 0; i < c.NumRules(); i++ {
+		if c.At(i).Rule.Goal == "blsr" {
+			blsr = c.At(i)
+			break
+		}
+	}
+	if blsr == nil {
+		t.Fatalf("blsr rule missing")
+	}
+	one := c.NodeToken(c.OpID("Const"), []uint64{1})
+	if one != blsr.Tokens[0] || c.OpID("Const") != opConst {
+		t.Fatalf("Const 1 token %x, pattern node %x", one, blsr.Tokens[0])
+	}
+	others := []Token{
+		c.NodeToken(c.OpID("Const"), []uint64{2}),
+		c.NodeToken(c.OpID("Const"), nil),
+		c.NodeToken(c.OpID("Mul"), nil), // no rule uses Mul
+		c.NodeToken(NoOp, []uint64{1}),
+	}
+	for _, tok := range others {
+		for i := 0; i < c.NumRules(); i++ {
+			for _, pt := range c.At(i).Tokens {
+				if tok == pt {
+					t.Fatalf("token %x equals a pattern node's", tok)
+				}
+			}
+		}
+		if tok == tokAny || tok == tokImm || tok.WithResult(1) == tokImm {
+			t.Fatalf("token %x collides with a wildcard", tok)
+		}
+	}
+	if c.OpID("Mul") != NoOp {
+		t.Fatalf("an op no rule uses got id %d", c.OpID("Mul"))
+	}
+	if one.WithResult(1) == one || one.WithResult(1).op() != opConst {
+		t.Fatalf("WithResult must keep the op and change the token")
 	}
 }
