@@ -495,6 +495,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := driver.CheckWidth(*width); err != nil {
+		fmt.Fprintf(os.Stderr, "iselbench: %v\n", err)
+		os.Exit(2)
+	}
 	tgt, err := target.ByName(*tgtName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iselbench: %v\n", err)

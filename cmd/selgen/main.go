@@ -77,6 +77,10 @@ func run() int {
 	)
 	flag.Parse()
 
+	if err := driver.CheckWidth(*width); err != nil {
+		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
+		return 2
+	}
 	tgt, err := target.ByName(*tgtName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)

@@ -16,7 +16,7 @@ func benchEquivalence(b *testing.B, w int) {
 		lhs := builder.BvAnd(builder.BvNot(x), y)
 		rhs := builder.BvSub(y, builder.BvAnd(x, y))
 		s := sat.New()
-		bb := New(s)
+		bb := New(builder, s)
 		bb.Assert(builder.Not(builder.Eq(lhs, rhs)))
 		st, err := s.Solve(sat.Options{})
 		if err != nil || st != sat.Unsat {
@@ -40,7 +40,7 @@ func BenchmarkMultiplierEquivalence(b *testing.B) {
 		two := builder.Const(2, w)
 		rhs := builder.BvAdd(builder.BvAdd(builder.BvMul(x, x), builder.BvMul(two, builder.BvMul(x, y))), builder.BvMul(y, y))
 		s := sat.New()
-		bb := New(s)
+		bb := New(builder, s)
 		bb.Assert(builder.Not(builder.Eq(lhs, rhs)))
 		st, err := s.Solve(sat.Options{})
 		if err != nil || st != sat.Unsat {

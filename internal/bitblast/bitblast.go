@@ -16,19 +16,26 @@ import (
 	"selgen/internal/sat"
 )
 
-// Blaster converts terms to CNF incrementally. All terms passed to one
-// Blaster must come from the same bv.Builder. Terms are cached by
-// identity and gates by their normalized inputs (see gateKey), so
-// structurally equal circuits over the same literals — say, one
-// component's semantics instantiated on two test cases that agree on
-// some bits — share their output variables instead of re-emitting
-// clauses.
+// Blaster converts terms to CNF incrementally. Terms are cached by id
+// and gates by their normalized inputs (see gateKey), so structurally
+// equal circuits over the same literals — say, one component's
+// semantics instantiated on two test cases that agree on some bits —
+// share their output variables instead of re-emitting clauses.
 type Blaster struct {
 	S *sat.Solver
 
-	cache map[*bv.Term][]sat.Lit
-	vars  map[string][]sat.Lit
-	gates map[gateKey]sat.Lit
+	// b is the builder whose terms the id-indexed cache holds; Blast
+	// panics on any other builder's term, whose id would alias one of
+	// b's.
+	b *bv.Builder
+	// cache[id] holds the literals of b's term with that id, nil until
+	// blasted; blasted lists the ids set since the last Reset.
+	cache   [][]sat.Lit
+	blasted []int32
+	// loose holds literals VarLits allocated for variables that no
+	// Blast has reached yet; blasting the variable adopts them.
+	loose []looseVar
+	gates gateTable
 
 	// Hits and Misses count term-cache lookups in Blast; with a
 	// long-lived Blaster shared across CEGIS iterations the hit rate
@@ -39,24 +46,58 @@ type Blaster struct {
 	haveTrue bool
 }
 
-// New returns a Blaster over the given solver.
-func New(s *sat.Solver) *Blaster {
-	return &Blaster{
-		S:     s,
-		cache: make(map[*bv.Term][]sat.Lit),
-		vars:  make(map[string][]sat.Lit),
-		gates: make(map[gateKey]sat.Lit),
-	}
+// looseVar is a variable's literal vector allocated before the
+// variable was blasted.
+type looseVar struct {
+	name string
+	lits []sat.Lit
+}
+
+// New returns a Blaster for b's terms over the given solver.
+func New(b *bv.Builder, s *sat.Solver) *Blaster {
+	return &Blaster{S: s, b: b, gates: newGateTable()}
 }
 
 // Reset forgets every blasted term, variable and gate, for reuse over
 // S after S.Recycle. The tables keep their allocations; Hits and
 // Misses keep counting.
 func (bb *Blaster) Reset() {
-	clear(bb.cache)
-	clear(bb.vars)
-	clear(bb.gates)
+	for _, id := range bb.blasted {
+		bb.cache[id] = nil
+	}
+	bb.blasted = bb.blasted[:0]
+	clear(bb.loose)
+	bb.loose = bb.loose[:0]
+	bb.gates.reset()
 	bb.haveTrue = false
+}
+
+// lookup returns t's cached literals, or nil.
+func (bb *Blaster) lookup(t *bv.Term) []sat.Lit {
+	if !bb.b.Owns(t) {
+		panic(fmt.Sprintf("bitblast: term %v is not from the blaster's builder", t))
+	}
+	if id := t.ID(); id < len(bb.cache) {
+		return bb.cache[id]
+	}
+	return nil
+}
+
+// store caches ls as t's literals.
+func (bb *Blaster) store(t *bv.Term, ls []sat.Lit) {
+	id := t.ID()
+	if id >= len(bb.cache) {
+		n := bb.b.NumTerms()
+		if n > cap(bb.cache) {
+			grown := make([][]sat.Lit, n, max(n, 2*cap(bb.cache)))
+			copy(grown, bb.cache)
+			bb.cache = grown
+		}
+		// Entries past the old length were never written: still nil.
+		bb.cache = bb.cache[:n]
+	}
+	bb.cache[id] = ls
+	bb.blasted = append(bb.blasted, int32(id))
 }
 
 // constTrue returns a literal asserted true at the top level.
@@ -84,9 +125,32 @@ func (bb *Blaster) fresh() sat.Lit { return sat.MkLit(bb.S.NewVar(), false) }
 // VarLits returns (allocating if needed) the literal vector backing the
 // named variable of the given sort: length 1 for Bool, Width otherwise.
 func (bb *Blaster) VarLits(name string, sort bv.Sort) []sat.Lit {
-	if ls, ok := bb.vars[name]; ok {
+	if v := bb.b.LookupVar(name); v != nil {
+		if ls := bb.lookup(v); ls != nil {
+			return ls
+		}
+	}
+	if ls := bb.looseLits(name); ls != nil {
 		return ls
 	}
+	ls := bb.freshVec(sort)
+	bb.loose = append(bb.loose, looseVar{name: name, lits: ls})
+	return ls
+}
+
+// looseLits returns the literals VarLits allocated for the named
+// variable before it was blasted, or nil.
+func (bb *Blaster) looseLits(name string) []sat.Lit {
+	for _, lv := range bb.loose {
+		if lv.name == name {
+			return lv.lits
+		}
+	}
+	return nil
+}
+
+// freshVec allocates a fresh literal per bit of sort (one for Bool).
+func (bb *Blaster) freshVec(sort bv.Sort) []sat.Lit {
 	n := sort.Width
 	if sort.IsBool() {
 		n = 1
@@ -95,7 +159,6 @@ func (bb *Blaster) VarLits(name string, sort bv.Sort) []sat.Lit {
 	for i := range ls {
 		ls[i] = bb.fresh()
 	}
-	bb.vars[name] = ls
 	return ls
 }
 
@@ -110,11 +173,10 @@ func (bb *Blaster) Bind(v, u *bv.Term) bool {
 		return false
 	}
 	ls := bb.Blast(u)
-	if _, ok := bb.vars[v.Name]; ok {
+	if bb.lookup(v) != nil || bb.looseLits(v.Name) != nil {
 		return false
 	}
-	bb.vars[v.Name] = ls
-	bb.cache[v] = ls
+	bb.store(v, ls)
 	return true
 }
 
@@ -129,13 +191,13 @@ func (bb *Blaster) Assert(t *bv.Term) {
 
 // Blast lowers t and returns its literal vector (length 1 for Bool).
 func (bb *Blaster) Blast(t *bv.Term) []sat.Lit {
-	if ls, ok := bb.cache[t]; ok {
+	if ls := bb.lookup(t); ls != nil {
 		bb.Hits++
 		return ls
 	}
 	bb.Misses++
 	ls := bb.blast(t)
-	bb.cache[t] = ls
+	bb.store(t, ls)
 	return ls
 }
 
@@ -151,7 +213,10 @@ func (bb *Blaster) blast(t *bv.Term) []sat.Lit {
 		}
 		return out
 	case bv.OpVar:
-		return bb.VarLits(t.Name, t.Sort)
+		if ls := bb.looseLits(t.Name); ls != nil {
+			return ls
+		}
+		return bb.freshVec(t.Sort)
 	case bv.OpNot:
 		a := bb.Blast(t.Args[0])
 		return []sat.Lit{a[0].Not()}
@@ -288,14 +353,83 @@ type gateKey struct {
 	x, y, z sat.Lit
 }
 
+func (k gateKey) hash() uint32 {
+	h := uint64(uint32(k.x)) | uint64(uint32(k.y))<<32
+	h ^= (uint64(uint32(k.z)) | uint64(k.kind)<<32) * 0x9e3779b97f4a7c15
+	h *= 0xbf58476d1ce4e5b9
+	return uint32(h >> 32)
+}
+
+// gateTable maps gate keys to output literals by open addressing with
+// linear probing.
+type gateTable struct {
+	slots []gateSlot
+	// used lists the occupied slots, so reset clears only those.
+	used []int32
+}
+
+// gateSlot holds a key and its output literal plus one; 0 marks an
+// empty slot.
+type gateSlot struct {
+	key  gateKey
+	out1 sat.Lit
+}
+
+func newGateTable() gateTable { return gateTable{slots: make([]gateSlot, 256)} }
+
+func (g *gateTable) reset() {
+	for _, i := range g.used {
+		g.slots[i] = gateSlot{}
+	}
+	g.used = g.used[:0]
+}
+
+// find returns k's slot index and whether it is occupied by k; an
+// unoccupied index is where k belongs.
+func (g *gateTable) find(k gateKey) (int32, bool) {
+	mask := uint32(len(g.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		s := &g.slots[i]
+		if s.out1 == 0 {
+			return int32(i), false
+		}
+		if s.key == k {
+			return int32(i), true
+		}
+	}
+}
+
+// insert places k at the unoccupied slot i that find returned.
+func (g *gateTable) insert(i int32, k gateKey, out sat.Lit) {
+	g.slots[i] = gateSlot{key: k, out1: out + 1}
+	g.used = append(g.used, i)
+	if 2*len(g.used) > len(g.slots) {
+		g.grow()
+	}
+}
+
+func (g *gateTable) grow() {
+	old := g.slots
+	g.slots = make([]gateSlot, 2*len(old))
+	g.used = g.used[:0]
+	for _, s := range old {
+		if s.out1 != 0 {
+			i, _ := g.find(s.key)
+			g.slots[i] = s
+			g.used = append(g.used, i)
+		}
+	}
+}
+
 // gate returns the output literal hash-consed under k, reporting
 // whether it is new (and so still needs its defining clauses).
 func (bb *Blaster) gate(k gateKey) (sat.Lit, bool) {
-	if o, ok := bb.gates[k]; ok {
-		return o, false
+	i, ok := bb.gates.find(k)
+	if ok {
+		return bb.gates.slots[i].out1 - 1, false
 	}
 	o := bb.fresh()
-	bb.gates[k] = o
+	bb.gates.insert(i, k, o)
 	return o, true
 }
 
@@ -594,8 +728,8 @@ func (bb *Blaster) sltGate(a, b []sat.Lit) sat.Lit {
 // Value reads back the value of term t from the solver's model (valid
 // after a Sat answer). Bool terms yield 0 or 1.
 func (bb *Blaster) Value(t *bv.Term) uint64 {
-	ls, ok := bb.cache[t]
-	if !ok {
+	ls := bb.lookup(t)
+	if ls == nil {
 		panic("bitblast: Value of un-blasted term")
 	}
 	var v uint64

@@ -2,6 +2,7 @@ package bitblast
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"selgen/internal/bv"
@@ -13,7 +14,7 @@ import (
 func checkEquivalence(t *testing.T, b *bv.Builder, lhs, rhs *bv.Term) {
 	t.Helper()
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(b.Not(b.Eq(lhs, rhs)))
 	st, err := s.Solve(sat.Options{})
 	if err != nil {
@@ -34,7 +35,7 @@ func checkEquivalence(t *testing.T, b *bv.Builder, lhs, rhs *bv.Term) {
 func checkSatAndModel(t *testing.T, b *bv.Builder, f *bv.Term, vars []*bv.Term) bv.Model {
 	t.Helper()
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(f)
 	st, err := s.Solve(sat.Options{})
 	if err != nil {
@@ -89,7 +90,7 @@ func TestUnsatArithmetic(t *testing.T) {
 	x := b.Var("x", bv.BitVec(8))
 	// x + 1 = x is unsat.
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(b.Eq(b.BvAdd(x, b.Const(1, 8)), x))
 	st, _ := s.Solve(sat.Options{})
 	if st != sat.Unsat {
@@ -121,7 +122,7 @@ func TestOpsAgainstEvaluator(t *testing.T) {
 				want := bv.Eval(term, model)
 				// Assert x=xv, y=yv, term != want: must be unsat.
 				s := sat.New()
-				bb := New(s)
+				bb := New(b, s)
 				bb.Assert(b.Eq(x, b.Const(xv, w)))
 				bb.Assert(b.Eq(y, b.Const(yv, w)))
 				bb.Assert(b.Not(b.Eq(term, b.Const(want, w))))
@@ -138,7 +139,7 @@ func TestOpsAgainstEvaluator(t *testing.T) {
 				term := op(x, y)
 				want := bv.Eval(term, model) == 1
 				s := sat.New()
-				bb := New(s)
+				bb := New(b, s)
 				bb.Assert(b.Eq(x, b.Const(xv, w)))
 				bb.Assert(b.Eq(y, b.Const(yv, w)))
 				lit := bb.Blast(term)[0]
@@ -174,7 +175,7 @@ func TestStructureOps(t *testing.T) {
 	z16 := b.Const(0, 16)
 	z8 := b.Const(0, 8)
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(b.Not(b.Iff(b.Slt(b.Sext(y, 16), z16), b.Slt(y, z8))))
 	st, _ := s.Solve(sat.Options{})
 	if st != sat.Unsat {
@@ -190,7 +191,7 @@ func TestIteCircuit(t *testing.T) {
 	ite := b.Ite(p, x, y)
 	// p & (ite != x) unsat.
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(p)
 	bb.Assert(b.Not(b.Eq(ite, x)))
 	if st, _ := s.Solve(sat.Options{}); st != sat.Unsat {
@@ -261,7 +262,7 @@ func TestDivisionCircuit(t *testing.T) {
 	r := b.BvUrem(x, y)
 	// For y != 0: x == q*y + r and r < y.
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	nz := b.Not(b.Eq(y, b.Const(0, w)))
 	ident := b.Eq(x, b.BvAdd(b.BvMul(q, y), r))
 	rless := b.Ult(r, y)
@@ -279,7 +280,7 @@ func TestValueReadback(t *testing.T) {
 	x := b.Var("x", bv.BitVec(8))
 	sum := b.BvAdd(x, b.Const(1, 8))
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(b.Eq(sum, b.Const(0x10, 8)))
 	if st, _ := s.Solve(sat.Options{}); st != sat.Sat {
 		t.Fatalf("should be sat")
@@ -298,7 +299,7 @@ func TestBooleanConnectives(t *testing.T) {
 	q := b.Var("q", bv.Bool)
 	// (p => q) & p & !q unsat.
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(b.Implies(p, q))
 	bb.Assert(p)
 	bb.Assert(b.Not(q))
@@ -315,7 +316,7 @@ func TestBooleanConnectives(t *testing.T) {
 func checkEquivalenceBool(t *testing.T, b *bv.Builder, lhs, rhs *bv.Term) {
 	t.Helper()
 	s := sat.New()
-	bb := New(s)
+	bb := New(b, s)
 	bb.Assert(b.Xor(lhs, rhs))
 	st, _ := s.Solve(sat.Options{})
 	if st != sat.Unsat {
@@ -335,4 +336,44 @@ func TestMulCommutesWithCircuit(t *testing.T) {
 	x := b.Var("x", bv.BitVec(6))
 	y := b.Var("y", bv.BitVec(6))
 	checkEquivalence(t, b, b.BvMul(x, y), b.BvMul(y, x))
+}
+
+// TestForeignTermPanics: the term cache is indexed by id, so a term of
+// another builder, whose id aliases one of this builder's, must be
+// refused rather than given that term's literals.
+func TestForeignTermPanics(t *testing.T) {
+	b, other := bv.NewBuilder(), bv.NewBuilder()
+	bb := New(b, sat.New())
+	bb.Blast(b.Var("x", bv.BitVec(8)))
+	y := other.Var("y", bv.BitVec(8))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("blasting another builder's term did not panic")
+		}
+	}()
+	bb.Blast(y)
+}
+
+// TestVarLitsBeforeBlast: literals VarLits allocates for a variable no
+// Blast has reached are the ones blasting it later adopts (a cache
+// miss), and such a variable can no longer be bound.
+func TestVarLitsBeforeBlast(t *testing.T) {
+	b := bv.NewBuilder()
+	x := b.Var("x", bv.BitVec(4))
+	y := b.Var("y", bv.BitVec(4))
+	bb := New(b, sat.New())
+	early := bb.VarLits("x", x.Sort)
+	if got := bb.Blast(x); !slices.Equal(got, early) {
+		t.Errorf("Blast(x) = %v, VarLits allocated %v", got, early)
+	}
+	if bb.Hits != 0 || bb.Misses != 1 {
+		t.Errorf("hits/misses %d/%d, want 0/1", bb.Hits, bb.Misses)
+	}
+	bb.VarLits("y", y.Sort)
+	if bb.Bind(y, b.Const(3, 4)) {
+		t.Error("bound a variable VarLits already gave literals")
+	}
+	if !bb.Bind(b.Var("z", bv.BitVec(4)), b.BvAdd(x, y)) {
+		t.Error("declined to bind a fresh variable")
+	}
 }

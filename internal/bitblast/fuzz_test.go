@@ -118,7 +118,7 @@ func TestFuzzEvalAgainstCircuit(t *testing.T) {
 
 		// Circuit forced to the model's inputs must equal `want`...
 		s := sat.New()
-		bb := New(s)
+		bb := New(g.b, s)
 		for _, v := range g.vars {
 			bb.Assert(g.b.Eq(v, g.b.Const(model[v.Name], g.w)))
 		}
@@ -134,7 +134,7 @@ func TestFuzzEvalAgainstCircuit(t *testing.T) {
 
 		// ...and satisfiable when asserted equal.
 		s2 := sat.New()
-		bb2 := New(s2)
+		bb2 := New(g.b, s2)
 		for _, v := range g.vars {
 			bb2.Assert(g.b.Eq(v, g.b.Const(model[v.Name], g.w)))
 		}

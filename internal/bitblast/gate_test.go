@@ -64,7 +64,7 @@ func TestMuxFolding(t *testing.T) {
 		{"c?0:1 = ~c", b.Ite(c, ff, tt), b.Not(c)},
 	}
 	for _, tc := range cases {
-		bb := New(sat.New())
+		bb := New(b, sat.New())
 		bb.Blast(tt) // the constant's own variable
 		want := bb.Blast(tc.want)[0]
 		n := bb.S.NumVars()
@@ -83,7 +83,7 @@ func TestMuxFolding(t *testing.T) {
 func TestXorNegationNormalization(t *testing.T) {
 	b := rawBuilder()
 	x, y := b.Var("x", bv.Bool), b.Var("y", bv.Bool)
-	bb := New(sat.New())
+	bb := New(b, sat.New())
 	g := bb.Blast(b.Xor(x, y))[0]
 	n := bb.S.NumVars()
 	for _, tc := range []struct {
@@ -112,7 +112,7 @@ func TestXorNegationNormalization(t *testing.T) {
 func TestMuxNegationNormalization(t *testing.T) {
 	b := rawBuilder()
 	c, x, y := b.Var("c", bv.Bool), b.Var("x", bv.Bool), b.Var("y", bv.Bool)
-	bb := New(sat.New())
+	bb := New(b, sat.New())
 	g := bb.Blast(b.Ite(c, y, x))[0]
 	n := bb.S.NumVars()
 	neg := b.Ite(b.Not(c), x, y)
@@ -139,7 +139,7 @@ func TestGateStructureSharing(t *testing.T) {
 		{"de morgan", b.BvAnd(x, y), b.BvNot(b.BvOr(b.BvNot(x), b.BvNot(y)))},
 		{"comparison", b.Ult(x, y), b.Ult(b.BvNot(b.BvNot(x)), y)},
 	} {
-		bb := New(sat.New())
+		bb := New(b, sat.New())
 		bb.Blast(tc.first)
 		n, m := bb.S.NumVars(), bb.S.NumClauses()
 		bb.Blast(tc.second)

@@ -121,11 +121,11 @@ type Term struct {
 	// target width).
 	Hi, Lo int
 
-	id int // unique per builder, for canonical ordering and maps
+	id int // dense per builder, in creation order: see Builder.terms
 }
 
-// ID returns the term's builder-unique id. Useful as a map key when the
-// *Term pointer itself is inconvenient.
+// ID returns the term's id: unique within its builder, dense from 0,
+// and assigned in creation order, so it can index a slice.
 func (t *Term) ID() int { return t.id }
 
 // IsConst reports whether t is a constant.
@@ -141,56 +141,148 @@ func (t *Term) ConstValue() uint64 {
 
 // Builder interns terms. The zero value is not usable; call NewBuilder.
 type Builder struct {
-	table map[termKey]*Term
-	vars  map[string]*Term
-	next  int
+	// terms[id] is the term with that id. Ids are dense and assigned in
+	// creation order, so a term's arguments always have smaller ids
+	// than the term itself.
+	terms []*Term
+	// slots is an open-addressing hash table over every non-variable
+	// term's termKey. A constructor probes it before allocating
+	// anything; only a miss allocates the new term.
+	slots []slot
+	// vars interns variables by name; they are not in slots.
+	vars map[string]*Term
+	// evalMemo backs Builder.Eval, reused from call to call.
+	evalMemo evaluator
 
 	// Simplify controls whether constructors apply rewriting rules.
 	// Enabled by default; disable for the simplifier ablation experiment.
 	Simplify bool
 }
 
+// slot is one entry of Builder.slots: the key's hash, which filters
+// probes without touching the term, and the term's id+1 (0 marks an
+// empty slot).
+type slot struct {
+	hash uint32
+	id1  int32
+}
+
+// termKey is a term's structural identity: everything but a
+// variable's name, which Builder.vars interns instead.
 type termKey struct {
-	op         Op
-	sort       Sort
-	a0, a1, a2 int // ids of up to 3 args (-1 when absent)
-	val        uint64
-	name       string
-	hi, lo     int
+	op     Op
+	sort   Sort
+	args   [3]*Term
+	nargs  int
+	val    uint64
+	hi, lo int
+}
+
+// hash mixes the key's fields, with the arguments by id.
+func (k *termKey) hash() uint32 {
+	var ids [3]uint32
+	for i := 0; i < k.nargs; i++ {
+		ids[i] = uint32(k.args[i].id)
+	}
+	x := uint64(k.op) | uint64(k.sort.Width)<<8 | uint64(k.hi)<<16 | uint64(k.lo)<<24 | uint64(ids[2])<<32
+	y := uint64(ids[0]) | uint64(ids[1])<<32
+	h := mum(x^0xa0761d6478bd642f, y^0xe7037ed1a0b428db)
+	return uint32(mum(h^0x8ebc6af09c88c6e3, k.val^0x589965cc75374cc3))
+}
+
+// mum is wyhash's multiply-and-fold mixing step.
+func mum(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// matches reports whether t has the key's structure.
+func (k *termKey) matches(t *Term) bool {
+	if t.Op != k.op || t.Sort != k.sort || t.Val != k.val || t.Hi != k.hi || t.Lo != k.lo || len(t.Args) != k.nargs {
+		return false
+	}
+	for i, a := range t.Args {
+		if a != k.args[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // NewBuilder returns an empty term builder with simplification enabled.
 func NewBuilder() *Builder {
-	return &Builder{table: make(map[termKey]*Term), vars: make(map[string]*Term), Simplify: true}
+	return &Builder{slots: make([]slot, 64), vars: make(map[string]*Term), Simplify: true}
 }
 
-func (b *Builder) intern(t *Term) *Term {
-	k := termKey{op: t.Op, sort: t.Sort, a0: -1, a1: -1, a2: -1,
-		val: t.Val, name: t.Name, hi: t.Hi, lo: t.Lo}
-	if len(t.Args) > 3 {
-		panic("bv: term with more than 3 args")
-	}
-	for i, a := range t.Args {
-		switch i {
-		case 0:
-			k.a0 = a.id
-		case 1:
-			k.a1 = a.id
-		case 2:
-			k.a2 = a.id
+// intern returns the term with k's structure, creating it on a miss.
+func (b *Builder) intern(k *termKey) *Term {
+	h := k.hash()
+	mask := uint32(len(b.slots) - 1)
+	i := h & mask
+	for ; b.slots[i].id1 != 0; i = (i + 1) & mask {
+		if s := b.slots[i]; s.hash == h {
+			if t := b.terms[s.id1-1]; k.matches(t) {
+				return t
+			}
 		}
 	}
-	if ex, ok := b.table[k]; ok {
-		return ex
+	t := b.newTerm(k)
+	b.slots[i] = slot{hash: h, id1: int32(t.id + 1)}
+	if 2*len(b.terms) > len(b.slots) {
+		b.growSlots()
 	}
-	t.id = b.next
-	b.next++
-	b.table[k] = t
 	return t
 }
 
+// newTerm creates the term for k under the next id.
+func (b *Builder) newTerm(k *termKey) *Term {
+	t := &Term{Op: k.op, Sort: k.sort, Val: k.val, Hi: k.hi, Lo: k.lo, id: len(b.terms)}
+	if k.nargs > 0 {
+		t.Args = append([]*Term(nil), k.args[:k.nargs]...)
+	}
+	b.terms = append(b.terms, t)
+	return t
+}
+
+// growSlots doubles the hash table, re-placing entries by their stored
+// hashes. Variables occupy ids but no slots, so the load stays below
+// one half.
+func (b *Builder) growSlots() {
+	old := b.slots
+	b.slots = make([]slot, 2*len(old))
+	mask := uint32(len(b.slots) - 1)
+	for _, s := range old {
+		if s.id1 == 0 {
+			continue
+		}
+		i := s.hash & mask
+		for b.slots[i].id1 != 0 {
+			i = (i + 1) & mask
+		}
+		b.slots[i] = s
+	}
+}
+
+// app1 interns the unary application op(a).
+func (b *Builder) app1(op Op, s Sort, a *Term) *Term {
+	return b.intern(&termKey{op: op, sort: s, args: [3]*Term{a}, nargs: 1})
+}
+
+// app2 interns the binary application op(x, y).
+func (b *Builder) app2(op Op, s Sort, x, y *Term) *Term {
+	return b.intern(&termKey{op: op, sort: s, args: [3]*Term{x, y}, nargs: 2})
+}
+
+// Owns reports whether t was created by b. A table indexed by term id
+// (as bitblast's term cache is) is only valid for one builder's terms.
+func (b *Builder) Owns(t *Term) bool { return t.id < len(b.terms) && b.terms[t.id] == t }
+
+// LookupVar returns the variable of the given name, or nil if b has
+// none.
+func (b *Builder) LookupVar(name string) *Term { return b.vars[name] }
+
 // NumTerms returns the number of distinct interned terms.
-func (b *Builder) NumTerms() int { return b.next }
+func (b *Builder) NumTerms() int { return len(b.terms) }
 
 func mask(w int) uint64 {
 	if w >= 64 {
@@ -218,8 +310,7 @@ func SignExtendTo64(v uint64, w int) uint64 {
 
 // Const returns the constant v truncated to width w.
 func (b *Builder) Const(v uint64, w int) *Term {
-	s := BitVec(w)
-	return b.intern(&Term{Op: OpConst, Sort: s, Val: v & mask(w)})
+	return b.intern(&termKey{op: OpConst, sort: BitVec(w), val: v & mask(w)})
 }
 
 // BoolConst returns the boolean constant.
@@ -228,7 +319,7 @@ func (b *Builder) BoolConst(v bool) *Term {
 	if v {
 		val = 1
 	}
-	return b.intern(&Term{Op: OpConst, Sort: Bool, Val: val})
+	return b.intern(&termKey{op: OpConst, sort: Bool, val: val})
 }
 
 // Var returns the free variable of the given name and sort. Two calls
@@ -240,7 +331,8 @@ func (b *Builder) Var(name string, s Sort) *Term {
 		}
 		return ex
 	}
-	t := b.intern(&Term{Op: OpVar, Sort: s, Name: name})
+	t := &Term{Op: OpVar, Sort: s, Name: name, id: len(b.terms)}
+	b.terms = append(b.terms, t)
 	b.vars[name] = t
 	return t
 }
@@ -279,7 +371,7 @@ func (b *Builder) Not(a *Term) *Term {
 			return a.Args[0]
 		}
 	}
-	return b.intern(&Term{Op: OpNot, Sort: Bool, Args: []*Term{a}})
+	return b.app1(OpNot, Bool, a)
 }
 
 // And returns the conjunction of the given boolean terms. And() is true.
@@ -314,7 +406,7 @@ func (b *Builder) and2(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpAnd, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpAnd, Bool, x, y)
 }
 
 // Or returns the disjunction of the given boolean terms. Or() is false.
@@ -349,7 +441,7 @@ func (b *Builder) or2(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpOr, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpOr, Bool, x, y)
 }
 
 // Xor returns the exclusive-or of two boolean terms.
@@ -376,7 +468,7 @@ func (b *Builder) Xor(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpXor, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpXor, Bool, x, y)
 }
 
 // Implies returns x => y.
@@ -411,7 +503,7 @@ func (b *Builder) BvNot(a *Term) *Term {
 			return a.Args[0]
 		}
 	}
-	return b.intern(&Term{Op: OpBvNot, Sort: a.Sort, Args: []*Term{a}})
+	return b.app1(OpBvNot, a.Sort, a)
 }
 
 // BvAnd returns the bitwise conjunction.
@@ -442,7 +534,7 @@ func (b *Builder) BvAnd(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpBvAnd, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvAnd, x.Sort, x, y)
 }
 
 // BvOr returns the bitwise disjunction.
@@ -473,7 +565,7 @@ func (b *Builder) BvOr(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpBvOr, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvOr, x.Sort, x, y)
 }
 
 // BvXor returns the bitwise exclusive-or.
@@ -500,7 +592,7 @@ func (b *Builder) BvXor(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpBvXor, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvXor, x.Sort, x, y)
 }
 
 // BvNeg returns the two's-complement negation.
@@ -514,7 +606,7 @@ func (b *Builder) BvNeg(a *Term) *Term {
 			return a.Args[0]
 		}
 	}
-	return b.intern(&Term{Op: OpBvNeg, Sort: a.Sort, Args: []*Term{a}})
+	return b.app1(OpBvNeg, a.Sort, a)
 }
 
 // BvAdd returns the sum modulo 2^w.
@@ -532,7 +624,7 @@ func (b *Builder) BvAdd(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpBvAdd, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvAdd, x.Sort, x, y)
 }
 
 // BvSub returns the difference modulo 2^w.
@@ -549,7 +641,7 @@ func (b *Builder) BvSub(x, y *Term) *Term {
 			return b.Const(0, w)
 		}
 	}
-	return b.intern(&Term{Op: OpBvSub, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvSub, x.Sort, x, y)
 }
 
 // BvMul returns the product modulo 2^w.
@@ -577,7 +669,7 @@ func (b *Builder) BvMul(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpBvMul, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvMul, x.Sort, x, y)
 }
 
 // BvUdiv returns unsigned division; division by zero yields all-ones
@@ -590,7 +682,7 @@ func (b *Builder) BvUdiv(x, y *Term) *Term {
 		}
 		return b.Const(x.Val/y.Val, w)
 	}
-	return b.intern(&Term{Op: OpBvUdiv, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvUdiv, x.Sort, x, y)
 }
 
 // BvUrem returns the unsigned remainder; remainder by zero yields x
@@ -603,7 +695,7 @@ func (b *Builder) BvUrem(x, y *Term) *Term {
 		}
 		return b.Const(x.Val%y.Val, x.Sort.Width)
 	}
-	return b.intern(&Term{Op: OpBvUrem, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvUrem, x.Sort, x, y)
 }
 
 // BvShl returns x shifted left by y; shifts ≥ w yield zero.
@@ -620,7 +712,7 @@ func (b *Builder) BvShl(x, y *Term) *Term {
 			return x
 		}
 	}
-	return b.intern(&Term{Op: OpBvShl, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvShl, x.Sort, x, y)
 }
 
 // BvLshr returns the logical right shift; shifts ≥ w yield zero.
@@ -637,7 +729,7 @@ func (b *Builder) BvLshr(x, y *Term) *Term {
 			return x
 		}
 	}
-	return b.intern(&Term{Op: OpBvLshr, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvLshr, x.Sort, x, y)
 }
 
 // BvAshr returns the arithmetic right shift; shifts ≥ w yield the sign
@@ -657,7 +749,7 @@ func (b *Builder) BvAshr(x, y *Term) *Term {
 			return x
 		}
 	}
-	return b.intern(&Term{Op: OpBvAshr, Sort: x.Sort, Args: []*Term{x, y}})
+	return b.app2(OpBvAshr, x.Sort, x, y)
 }
 
 // --- Predicates ---
@@ -676,7 +768,7 @@ func (b *Builder) Eq(x, y *Term) *Term {
 		}
 	}
 	x, y = orderPair(x, y)
-	return b.intern(&Term{Op: OpEq, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpEq, Bool, x, y)
 }
 
 // Distinct returns the pairwise-distinct constraint over the terms.
@@ -701,7 +793,7 @@ func (b *Builder) Ult(x, y *Term) *Term {
 			return b.BoolConst(false)
 		}
 	}
-	return b.intern(&Term{Op: OpUlt, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpUlt, Bool, x, y)
 }
 
 // Ule returns the unsigned less-or-equal predicate.
@@ -715,7 +807,7 @@ func (b *Builder) Ule(x, y *Term) *Term {
 			return b.BoolConst(true)
 		}
 	}
-	return b.intern(&Term{Op: OpUle, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpUle, Bool, x, y)
 }
 
 // Slt returns the signed less-than predicate.
@@ -729,7 +821,7 @@ func (b *Builder) Slt(x, y *Term) *Term {
 			return b.BoolConst(false)
 		}
 	}
-	return b.intern(&Term{Op: OpSlt, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpSlt, Bool, x, y)
 }
 
 // Sle returns the signed less-or-equal predicate.
@@ -743,7 +835,7 @@ func (b *Builder) Sle(x, y *Term) *Term {
 			return b.BoolConst(true)
 		}
 	}
-	return b.intern(&Term{Op: OpSle, Sort: Bool, Args: []*Term{x, y}})
+	return b.app2(OpSle, Bool, x, y)
 }
 
 // --- Structure ---
@@ -765,7 +857,7 @@ func (b *Builder) Ite(c, t, e *Term) *Term {
 			return t
 		}
 	}
-	return b.intern(&Term{Op: OpIte, Sort: t.Sort, Args: []*Term{c, t, e}})
+	return b.intern(&termKey{op: OpIte, sort: t.Sort, args: [3]*Term{c, t, e}, nargs: 3})
 }
 
 // Extract returns bits hi..lo (inclusive) of a, as a BitVec(hi-lo+1).
@@ -783,7 +875,7 @@ func (b *Builder) Extract(a *Term, hi, lo int) *Term {
 			return a
 		}
 	}
-	return b.intern(&Term{Op: OpExtract, Sort: BitVec(nw), Args: []*Term{a}, Hi: hi, Lo: lo})
+	return b.intern(&termKey{op: OpExtract, sort: BitVec(nw), args: [3]*Term{a}, nargs: 1, hi: hi, lo: lo})
 }
 
 // Concat returns hi ++ lo with hi in the most significant bits.
@@ -798,7 +890,7 @@ func (b *Builder) Concat(hi, lo *Term) *Term {
 	if b.Simplify && hi.IsConst() && lo.IsConst() {
 		return b.Const(hi.Val<<wl|lo.Val, wh+wl)
 	}
-	return b.intern(&Term{Op: OpConcat, Sort: BitVec(wh + wl), Args: []*Term{hi, lo}})
+	return b.app2(OpConcat, BitVec(wh+wl), hi, lo)
 }
 
 // Zext zero-extends a to the given width.
@@ -813,7 +905,7 @@ func (b *Builder) Zext(a *Term, w int) *Term {
 	if b.Simplify && a.IsConst() {
 		return b.Const(a.Val, w)
 	}
-	return b.intern(&Term{Op: OpZext, Sort: BitVec(w), Args: []*Term{a}, Hi: w})
+	return b.intern(&termKey{op: OpZext, sort: BitVec(w), args: [3]*Term{a}, nargs: 1, hi: w})
 }
 
 // Sext sign-extends a to the given width.
@@ -828,7 +920,7 @@ func (b *Builder) Sext(a *Term, w int) *Term {
 	if b.Simplify && a.IsConst() {
 		return b.Const(SignExtendTo64(a.Val, aw), w)
 	}
-	return b.intern(&Term{Op: OpSext, Sort: BitVec(w), Args: []*Term{a}, Hi: w})
+	return b.intern(&termKey{op: OpSext, sort: BitVec(w), args: [3]*Term{a}, nargs: 1, hi: w})
 }
 
 // BoolToBV returns a 1-bit vector that is 1 when c holds.
@@ -842,19 +934,62 @@ func (b *Builder) BoolToBV(c *Term) *Term {
 type Model map[string]uint64
 
 // Eval evaluates t under m. Unbound variables evaluate to zero. The
-// result is truncated to the term's width (Bool: 0 or 1).
+// result is truncated to the term's width (Bool: 0 or 1). Each call
+// allocates a memo covering t's builder up to t; to evaluate one
+// builder's formulas under many models, use Builder.Eval.
 func Eval(t *Term, m Model) uint64 {
-	cache := make(map[*Term]uint64)
-	return eval(t, m, cache)
+	if t.Op == OpConst {
+		return t.Val
+	}
+	// A term's arguments have smaller ids, so ids up to t's own cover
+	// every term it reaches.
+	e := evaluator{m: m, memo: make([]evalSlot, t.id+1), gen: 1}
+	return e.eval(t)
 }
 
-func eval(t *Term, m Model, cache map[*Term]uint64) uint64 {
-	if v, ok := cache[t]; ok {
-		return v
+// Eval is the package-level Eval for one of b's terms, memoized in a
+// table b keeps from call to call, so that evaluating the same
+// formulas under many models allocates nothing.
+func (b *Builder) Eval(t *Term, m Model) uint64 {
+	if !b.Owns(t) {
+		panic("bv: Eval of a term from another builder")
 	}
+	e := &b.evalMemo
+	if n := len(b.terms); len(e.memo) < n {
+		e.memo = append(e.memo, make([]evalSlot, n-len(e.memo))...)
+	}
+	e.gen++
+	if e.gen == 0 {
+		clear(e.memo)
+		e.gen = 1
+	}
+	e.m = m
+	v := e.eval(t)
+	e.m = nil
+	return v
+}
+
+// evaluator memoizes term values by id: memo[id] holds a value that is
+// current when its stamp equals gen.
+type evaluator struct {
+	m    Model
+	memo []evalSlot
+	gen  uint32
+}
+
+type evalSlot struct {
+	val uint64
+	gen uint32
+}
+
+func (e *evaluator) eval(t *Term) uint64 {
+	if s := &e.memo[t.id]; s.gen == e.gen {
+		return s.val
+	}
+	m := e.m
 	var v uint64
 	w := t.Sort.Width
-	arg := func(i int) uint64 { return eval(t.Args[i], m, cache) }
+	arg := func(i int) uint64 { return e.eval(t.Args[i]) }
 	switch t.Op {
 	case OpConst:
 		v = t.Val
@@ -966,7 +1101,7 @@ func eval(t *Term, m Model, cache map[*Term]uint64) uint64 {
 	default:
 		panic(fmt.Sprintf("bv: eval of unknown op %v", t.Op))
 	}
-	cache[t] = v
+	e.memo[t.id] = evalSlot{val: v, gen: e.gen}
 	return v
 }
 

@@ -407,3 +407,57 @@ func TestQuickDeMorgan(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInternHitAllocatesNothing: a constructor looks its term up by
+// structural key before allocating, so rebuilding terms that are
+// already interned allocates nothing and creates no term.
+func TestInternHitAllocatesNothing(t *testing.T) {
+	b := NewBuilder()
+	x := b.Var("x", BitVec(8))
+	y := b.Var("y", BitVec(8))
+	c := b.Var("c", Bool)
+	build := func() {
+		b.Var("x", BitVec(8))
+		s := b.BvAdd(x, y)
+		b.Ite(c, b.Extract(s, 3, 0), b.Zext(b.Extract(y, 1, 0), 4))
+		b.Eq(b.BvMul(x, b.Const(3, 8)), b.BvNeg(y))
+		b.And(c, b.Not(b.Ult(x, y)), b.Xor(c, b.Sle(y, x)))
+	}
+	build()
+	n := b.NumTerms()
+	if allocs := testing.AllocsPerRun(50, build); allocs != 0 {
+		t.Errorf("rebuilding interned terms allocates %v times per call", allocs)
+	}
+	if b.NumTerms() != n {
+		t.Errorf("rebuilding interned terms grew the builder from %d to %d terms", n, b.NumTerms())
+	}
+}
+
+// TestBuilderEval: the builder's memoized Eval agrees with Eval and,
+// once its memo covers the builder, allocates nothing.
+func TestBuilderEval(t *testing.T) {
+	b := NewBuilder()
+	x := b.Var("x", BitVec(8))
+	y := b.Var("y", BitVec(8))
+	s := b.BvAdd(x, y)
+	f := b.Or(b.Ult(b.BvMul(s, s), x), b.Eq(b.BvLshr(s, y), b.BvAnd(x, b.BvNot(y))))
+	m := Model{}
+	for xv := uint64(0); xv < 256; xv += 7 {
+		for yv := uint64(0); yv < 256; yv += 5 {
+			m["x"], m["y"] = xv, yv
+			if got, want := b.Eval(f, m), Eval(f, m); got != want {
+				t.Fatalf("x=%d y=%d: Builder.Eval %d, Eval %d", xv, yv, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { b.Eval(f, m) }); allocs != 0 {
+		t.Errorf("warm Builder.Eval allocates %v times per call", allocs)
+	}
+	other := NewBuilder()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Builder.Eval of another builder's term should panic")
+		}
+	}()
+	b.Eval(other.Var("x", BitVec(8)), m)
+}

@@ -9,6 +9,7 @@ package cegis
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"selgen/internal/bv"
 	"selgen/internal/memmodel"
@@ -82,15 +83,6 @@ func (e errNoSource) Error() string {
 	return fmt.Sprintf("cegis: no source for argument %d of %s", e.arg, e.comp)
 }
 
-// name namespaces a variable name with the encoding's prefix (empty in
-// one-shot mode).
-func (e *enc) name(s string) string {
-	if e.prefix == "" {
-		return s
-	}
-	return e.prefix + s
-}
-
 func selWidth(n int) int {
 	if n <= 1 {
 		return 1
@@ -134,7 +126,7 @@ func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc
 	prefix := ""
 	if sc != nil {
 		b, solver = sc.b, sc.solver
-		prefix = fmt.Sprintf("m%d_", sc.nextEnc)
+		prefix = "m" + strconv.Itoa(sc.nextEnc) + "_"
 		sc.nextEnc++
 	} else {
 		b = bv.NewBuilder()
@@ -164,7 +156,7 @@ func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc
 
 	// Position variables: a permutation of 0..len(comps)-1.
 	for k := range comps {
-		p := b.Var(e.name(fmt.Sprintf("pos_%d", k)), bv.BitVec(e.posW))
+		p := b.Var(e.prefix+"pos_"+strconv.Itoa(k), bv.BitVec(e.posW))
 		e.pos = append(e.pos, p)
 		e.assertBound(p, len(comps))
 	}
@@ -192,7 +184,7 @@ func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc
 				return nil, errNoSource{comp: c.Name, arg: a}
 			}
 			e.argSources[k][a] = srcs
-			sel := b.Var(e.name(fmt.Sprintf("sel_%d_%d", k, a)), bv.BitVec(selWidth(len(srcs))))
+			sel := b.Var(e.prefix+"sel_"+strconv.Itoa(k)+"_"+strconv.Itoa(a), bv.BitVec(selWidth(len(srcs))))
 			e.argSels[k][a] = sel
 			e.assertBound(sel, len(srcs))
 			// Selecting a component's result forces it earlier.
@@ -215,7 +207,7 @@ func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc
 			return nil, errNoSource{comp: "<result>", arg: r}
 		}
 		e.outSources[r] = srcs
-		sel := b.Var(e.name(fmt.Sprintf("osel_%d", r)), bv.BitVec(selWidth(len(srcs))))
+		sel := b.Var(e.prefix+"osel_"+strconv.Itoa(r), bv.BitVec(selWidth(len(srcs))))
 		e.outSels[r] = sel
 		e.assertBound(sel, len(srcs))
 	}
@@ -271,7 +263,7 @@ func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc
 			} else {
 				s = bv.BitVec(e.width)
 			}
-			e.internals[k][i] = b.Var(fmt.Sprintf("int_%s.%d_%d", c.Name, e.occ[k], i), s)
+			e.internals[k][i] = b.Var("int_"+c.Name+"."+strconv.Itoa(e.occ[k])+"_"+strconv.Itoa(i), s)
 		}
 	}
 
@@ -374,7 +366,7 @@ func (e *enc) instantiate(va []*bv.Term, instKey string) instantiation {
 	for k, c := range e.comps {
 		argVals[k] = make([]*bv.Term, len(c.Args))
 		for a, kind := range c.Args {
-			argVals[k][a] = b.Var(fmt.Sprintf("e_%s.%d_%s_%d", c.Name, e.occ[k], instKey, a), ctx.SortOf(kind))
+			argVals[k][a] = b.Var("e_"+c.Name+"."+strconv.Itoa(e.occ[k])+"_"+instKey+"_"+strconv.Itoa(a), ctx.SortOf(kind))
 		}
 	}
 	resVals := make([][]*bv.Term, len(e.comps))
@@ -502,8 +494,9 @@ func (e *enc) addWitness() {
 		if k == sem.KindMem || k == sem.KindBool {
 			continue
 		}
-		va := e.freshWitnessArgs(fmt.Sprintf("wit%d", i))
-		alt := e.instantiate(va, fmt.Sprintf("wit%d", i))
+		key := "wit" + strconv.Itoa(i)
+		va := e.freshWitnessArgs(key)
+		alt := e.instantiate(va, key)
 		e.solver.Assert(alt.patPre)
 		e.solver.Assert(alt.goalPre)
 		e.solver.Assert(e.b.Not(e.b.Eq(va[i], base[i])))
@@ -529,7 +522,7 @@ func (e *enc) freshWitnessArgs(base string) []*bv.Term {
 		default:
 			s = bv.BitVec(e.width)
 		}
-		va[i] = b.Var(fmt.Sprintf("%s_a%d", base, i), s)
+		va[i] = b.Var(base+"_a"+strconv.Itoa(i), s)
 	}
 	return va
 }

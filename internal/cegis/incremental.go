@@ -8,6 +8,7 @@ package cegis
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"selgen/internal/bv"
@@ -145,7 +146,7 @@ func (v *verifier) check(e *Engine, goal *sem.Instr) (cex []uint64, ok bool, err
 	case smt.Sat:
 		tc := make([]uint64, len(goal.Args))
 		for i := range goal.Args {
-			tc[i] = v.solver.ModelValue(fmt.Sprintf("v_a%d", i), v.va[i].Sort)
+			tc[i] = v.solver.ModelValue(v.va[i].Name, v.va[i].Sort)
 		}
 		return tc, false, nil
 	}
@@ -208,7 +209,19 @@ func (c *cexCache) add(tc []uint64) {
 	c.list = append(c.list, append([]uint64(nil), tc...))
 }
 
-func cexKey(tc []uint64) string { return fmt.Sprint(tc) }
+// cexKey formats tc as fmt.Sprint does ("[1 2 3]"); the key also names
+// the test case's instantiation variables (see enc.instantiate).
+func cexKey(tc []uint64) string {
+	var buf [64]byte
+	k := append(buf[:0], '[')
+	for i, v := range tc {
+		if i > 0 {
+			k = append(k, ' ')
+		}
+		k = strconv.AppendUint(k, v, 10)
+	}
+	return string(append(k, ']'))
+}
 
 // maxKillersPerRound bounds how many prefilter killers one synthesis
 // round promotes into the encoding: one is enough for progress, but a
@@ -240,17 +253,13 @@ func (e *Engine) prefilterKillers(goal *sem.Instr, p *pattern.Pattern, pool [][]
 	}
 	v := e.verifierFor(goal)
 	viol := v.violation(e, p)
-	m := make(bv.Model, len(goal.Args))
-	names := make([]string, len(goal.Args))
-	for i := range goal.Args {
-		names[i] = fmt.Sprintf("v_a%d", i)
-	}
+	m := make(bv.Model, len(v.va))
 	var killers [][]uint64
 	for _, tc := range pool {
-		for i := range names {
-			m[names[i]] = tc[i]
+		for i, a := range v.va {
+			m[a.Name] = tc[i]
 		}
-		if bv.Eval(viol, m) == 1 {
+		if v.b.Eval(viol, m) == 1 {
 			killers = append(killers, tc)
 		}
 	}

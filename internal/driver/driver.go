@@ -396,15 +396,9 @@ func stopRequested(stop <-chan struct{}) bool {
 // only fails on setup errors — a goal that cannot be synthesized is
 // degraded or quarantined and reported, never fatal.
 func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
-	if opts.Width == 0 {
-		opts.Width = 8
-	}
-	if opts.QueryConflicts == 0 {
-		// Generous per-query bound: ordinary queries at width 8 take a
-		// few thousand conflicts; a multiset blowing this budget is
-		// abandoned (Stats.QueryTimeouts) rather than stalling the run.
-		// (ConfigHash applies the same defaults; keep them in sync.)
-		opts.QueryConflicts = 200_000
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, nil, err
 	}
 	tr := opts.Obs
 	if tr == nil {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"selgen/internal/obs"
 )
 
 // scaledTimeout widens a per-goal deadline when the race detector is
@@ -88,5 +90,37 @@ func TestSetupShapes(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("full setup missing group %s", want)
 		}
+	}
+}
+
+// TestOutOfRangeWidthRejected: a word width outside 0..64 fails Run and
+// NewGoalRunner before any goal starts, instead of quarantining every
+// goal on the bv.BitVec panic and returning an empty library; 0 still
+// selects the default 8.
+func TestOutOfRangeWidthRejected(t *testing.T) {
+	groups := QuickSetup()
+	for _, w := range []int{65, -3} {
+		tr := obs.New()
+		lib, rep, err := Run(groups, Options{Width: w, Seed: 1, Obs: tr})
+		if err == nil {
+			t.Errorf("width %d: Run succeeded with %d rules", w, len(lib.Rules))
+		}
+		if lib != nil || rep != nil {
+			t.Errorf("width %d: Run returned a library or report alongside %v", w, err)
+		}
+		if n := tr.Metrics().CounterValue("driver.quarantine"); n != 0 {
+			t.Errorf("width %d: %d goal(s) quarantined", w, n)
+		}
+		if _, err := NewGoalRunner(groups, Options{Width: w}); err == nil {
+			t.Errorf("width %d: NewGoalRunner accepted it", w)
+		}
+	}
+	for _, w := range []int{0, 1, 64} {
+		if err := CheckWidth(w); err != nil {
+			t.Errorf("width %d rejected: %v", w, err)
+		}
+	}
+	if o, err := (Options{}).normalize(); err != nil || o.Width != 8 {
+		t.Errorf("width 0 normalizes to %d (%v), want 8", o.Width, err)
 	}
 }

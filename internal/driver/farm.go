@@ -74,16 +74,33 @@ func groupParams(grp Group, opts Options, ops []*sem.Instr) ([]*sem.Instr, int) 
 	return goalOps, perGoal
 }
 
-// normalize applies Run's option defaults (kept in sync with Run and
-// ConfigHash).
-func (o Options) normalize() Options {
+// CheckWidth rejects a word width the semantic models do not support:
+// options take 1..64, or 0 for the default 8. Run and NewGoalRunner
+// apply it before any goal starts; the CLIs apply it to their -width
+// flag.
+func CheckWidth(w int) error {
+	if w < 0 || w > 64 {
+		return fmt.Errorf("driver: word width %d is outside 1..64 (0 selects 8)", w)
+	}
+	return nil
+}
+
+// normalize checks opts and applies Run's option defaults (kept in
+// sync with ConfigHash).
+func (o Options) normalize() (Options, error) {
+	if err := CheckWidth(o.Width); err != nil {
+		return o, err
+	}
 	if o.Width == 0 {
 		o.Width = 8
 	}
 	if o.QueryConflicts == 0 {
+		// Generous per-query bound: ordinary queries at width 8 take a
+		// few thousand conflicts; a multiset blowing this budget is
+		// abandoned (Stats.QueryTimeouts) rather than stalling the run.
 		o.QueryConflicts = 200_000
 	}
-	return o
+	return o, nil
 }
 
 // GoalRunner synthesizes individual goals on demand — the farm worker's
@@ -103,8 +120,11 @@ type GoalRunner struct {
 // Options.Resume (from resuming that shard) makes already-journaled
 // goals replay instead of re-synthesizing, so a crash-restarted worker
 // never redoes durable work.
-func NewGoalRunner(groups []Group, opts Options) *GoalRunner {
-	opts = opts.normalize()
+func NewGoalRunner(groups []Group, opts Options) (*GoalRunner, error) {
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, err
+	}
 	tr := opts.Obs
 	if tr == nil {
 		tr = obs.New()
@@ -119,7 +139,7 @@ func NewGoalRunner(groups []Group, opts Options) *GoalRunner {
 	for i := range groups {
 		g.byName[groups[i].Name] = &groups[i]
 	}
-	return g
+	return g, nil
 }
 
 // Run synthesizes (or replays) one goal and returns its journal record.
@@ -156,7 +176,10 @@ func (g *GoalRunner) Run(key GoalKey) (journal.GoalRecord, error) {
 // dominance pruning. Missing keys are an error — an incomplete farm run
 // must fail loudly, never ship a silently truncated library.
 func AssembleLibrary(groups []Group, recs map[string]journal.GoalRecord, opts Options) (*pattern.Library, *Report, error) {
-	opts = opts.normalize()
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, nil, err
+	}
 	lib := &pattern.Library{Width: opts.Width}
 	rep := &Report{}
 	ops := ir.Ops()

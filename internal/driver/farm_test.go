@@ -124,7 +124,7 @@ func TestGoalRunnerMatchesRun(t *testing.T) {
 	}
 	wopts := quickOpts()
 	wopts.Journal = jw
-	gr := NewGoalRunner(groups, wopts)
+	gr := mustGoalRunner(t, groups, wopts)
 
 	keys := GoalKeys(groups)
 	recs := make(map[string]journal.GoalRecord, len(keys))
@@ -189,7 +189,7 @@ func TestGoalRunnerReplaysFromShard(t *testing.T) {
 	wopts := quickOpts()
 	wopts.Journal = jw
 	keys := GoalKeys(groups)
-	first, err := NewGoalRunner(groups, wopts).Run(keys[0])
+	first, err := mustGoalRunner(t, groups, wopts).Run(keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestGoalRunnerReplaysFromShard(t *testing.T) {
 	ropts.Journal = jw2
 	ropts.Resume = rec.Index()
 	ropts.Obs = tr
-	again, err := NewGoalRunner(groups, ropts).Run(keys[0])
+	again, err := mustGoalRunner(t, groups, ropts).Run(keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,4 +334,13 @@ func TestResumeDuplicatesSurfaced(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte("2 duplicate journal record(s)")) {
 		t.Fatalf("table does not surface the duplicates:\n%s", buf.String())
 	}
+}
+
+func mustGoalRunner(t *testing.T, groups []Group, opts Options) *GoalRunner {
+	t.Helper()
+	gr, err := NewGoalRunner(groups, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gr
 }

@@ -250,7 +250,11 @@ func TestWorkerCrashRespawnsAndRecovers(t *testing.T) {
 				}
 				wopts := opts
 				wopts.Journal = jw
-				runner := driver.NewGoalRunner(groups, wopts)
+				runner, err := driver.NewGoalRunner(groups, wopts)
+				if err != nil {
+					h.done <- err
+					return
+				}
 				for {
 					var resp leaseResponse
 					if err := cl.post("/lease", leaseRequest{Worker: id}, &resp); err != nil || resp.Done {

@@ -88,7 +88,10 @@ func RunWorker(cfg WorkerConfig) error {
 				"farm: worker %d recovered %d goal(s) from its shard\n", cfg.ID, n)
 		}
 	}
-	runner := driver.NewGoalRunner(cfg.Groups, opts)
+	runner, err := driver.NewGoalRunner(cfg.Groups, opts)
+	if err != nil {
+		return fmt.Errorf("farm: worker %d: %w", cfg.ID, err)
+	}
 
 	cl := newClient(cfg.Coord)
 	if err := cl.post("/register", registerRequest{

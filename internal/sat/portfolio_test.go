@@ -118,8 +118,8 @@ func exactlyOneCNF(n int) *cnf {
 // is checked against.
 func differentialSuite() []*cnf {
 	return []*cnf{
-		pigeonholeCNF(5, 5),  // sat: one pigeon per hole
-		pigeonholeCNF(6, 5),  // unsat, resolution-hard
+		pigeonholeCNF(5, 5), // sat: one pigeon per hole
+		pigeonholeCNF(6, 5), // unsat, resolution-hard
 		planted3SATCNF(1, 40, 150),
 		planted3SATCNF(7, 40, 170),
 		chainCNF(200, false),

@@ -145,7 +145,7 @@ const DefaultGarbageLimit = 1 << 11
 // NewSolver returns a solver for terms of the given builder.
 func NewSolver(b *bv.Builder) *Solver {
 	s := sat.New()
-	return &Solver{B: b, bb: bitblast.New(s), s: s}
+	return &Solver{B: b, bb: bitblast.New(b, s), s: s}
 }
 
 // Push opens a retractable assertion frame: assertions made until the

@@ -1,5 +1,6 @@
 #!/bin/sh
-# ci.sh: the repo's tier-1 gate — build, vet, and race-enabled tests.
+# ci.sh: the repo's tier-1 gate — build, vet, gofmt, and race-enabled
+# tests.
 # Run from the repository root:
 #
 #   ./scripts/ci.sh
@@ -11,6 +12,13 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# gofmt gate: every git-tracked Go file must be gofmt-clean.
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "ci.sh: gofmt -l lists files that need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 # Fail-fast race pass over the solver stack and the selector: the
 # portfolio tests spawn racing workers with a shared stop flag and
 # clause exchange, the fault-injection tests panic inside those
