@@ -21,7 +21,6 @@ import (
 func main() {
 	timeout := flag.Duration("timeout", 0, "per-check timeout (0 = none)")
 	conflicts := flag.Int64("conflicts", 0, "per-check conflict budget (0 = none)")
-	workers := flag.Int("sat-workers", 1, "diversified SAT portfolio workers per check-sat (1 = sequential)")
 	flag.Parse()
 
 	var src []byte
@@ -41,7 +40,7 @@ func main() {
 	}
 
 	script := smtlib.NewScript()
-	script.Opts = smt.Options{MaxConflicts: *conflicts, PortfolioWorkers: *workers}
+	script.Opts = smt.Options{MaxConflicts: *conflicts}
 	if *timeout > 0 {
 		script.Opts.Timeout = *timeout
 	}

@@ -49,15 +49,12 @@ type cegisBenchPhase struct {
 }
 
 // cegisBenchGoal is one goal's timing in the -json comparison. The
-// phase breakdowns describe the best incremental round. PortfolioMS is
-// the best round with verification routed through the SAT portfolio
-// (-sat-workers, 0 when benchmarked with a single worker).
+// phase breakdowns describe the best incremental round.
 type cegisBenchGoal struct {
 	Goal          string          `json:"goal"`
 	Patterns      int             `json:"patterns"`
 	IncrementalMS float64         `json:"incremental_ms"`
 	FreshMS       float64         `json:"fresh_ms"`
-	PortfolioMS   float64         `json:"portfolio_ms,omitempty"`
 	Synth         cegisBenchPhase `json:"synth"`
 	Verify        cegisBenchPhase `json:"verify"`
 }
@@ -126,29 +123,24 @@ type cegisBenchFarm struct {
 
 // cegisBench is the BENCH_cegis.json document.
 type cegisBench struct {
-	Width            int                `json:"width"`
-	MaxLen           int                `json:"max_len"`
-	Rounds           int                `json:"rounds"`
-	SatWorkers       int                `json:"sat_workers"`
-	Cores            int                `json:"cores"`
-	Goals            []cegisBenchGoal   `json:"goals"`
-	IncrementalMS    float64            `json:"incremental_ms"`
-	FreshMS          float64            `json:"fresh_ms"`
-	PortfolioMS      float64            `json:"portfolio_ms,omitempty"`
-	Speedup          float64            `json:"speedup"`
-	PortfolioSpeedup float64            `json:"portfolio_speedup,omitempty"`
-	Cost             cegisBenchCost     `json:"cost"`
-	Targets          []cegisBenchTarget `json:"targets"`
-	Farm             *cegisBenchFarm    `json:"farm,omitempty"`
+	Width         int                `json:"width"`
+	MaxLen        int                `json:"max_len"`
+	Rounds        int                `json:"rounds"`
+	Cores         int                `json:"cores"`
+	Goals         []cegisBenchGoal   `json:"goals"`
+	IncrementalMS float64            `json:"incremental_ms"`
+	FreshMS       float64            `json:"fresh_ms"`
+	Speedup       float64            `json:"speedup"`
+	Cost          cegisBenchCost     `json:"cost"`
+	Targets       []cegisBenchTarget `json:"targets"`
+	Farm          *cegisBenchFarm    `json:"farm,omitempty"`
 }
 
 // runCEGISBench times the incremental pipeline against the
 // DisableIncremental one on the quickstart goal set and writes the
 // result to path. Each mode runs `rounds` times per goal; the minimum
-// is reported (least-noise estimator). With satWorkers > 1 each goal is
-// additionally timed with verification routed through the SAT
-// portfolio (SatProbe lowered so hard queries actually fan out).
-func runCEGISBench(width, satWorkers int, farmSelgen string, farmWorkers int, path string) error {
+// is reported (least-noise estimator).
+func runCEGISBench(width int, farmSelgen string, farmWorkers int, path string) error {
 	goals := []*sem.Instr{
 		x86.Inc(),
 		x86.Andn(),
@@ -157,11 +149,8 @@ func runCEGISBench(width, satWorkers int, farmSelgen string, farmWorkers int, pa
 		x86.CmpJcc(x86.CCB),
 	}
 	const rounds = 5
-	out := cegisBench{
-		Width: width, MaxLen: 2, Rounds: rounds,
-		SatWorkers: satWorkers, Cores: runtime.NumCPU(),
-	}
-	run := func(g *sem.Instr, disable bool, workers int) (time.Duration, int, cegisBenchPhase, cegisBenchPhase, error) {
+	out := cegisBench{Width: width, MaxLen: 2, Rounds: rounds, Cores: runtime.NumCPU()}
+	run := func(g *sem.Instr, disable bool) (time.Duration, int, cegisBenchPhase, cegisBenchPhase, error) {
 		best, patterns := time.Duration(0), 0
 		var synth, verify cegisBenchPhase
 		for r := 0; r < rounds; r++ {
@@ -170,8 +159,6 @@ func runCEGISBench(width, satWorkers int, farmSelgen string, farmWorkers int, pa
 				Width: width, MaxLen: 2, Seed: 1,
 				QueryConflicts:     200_000,
 				DisableIncremental: disable,
-				SatWorkers:         workers,
-				SatProbe:           512,
 				Obs:                tr,
 			})
 			start := time.Now()
@@ -189,11 +176,11 @@ func runCEGISBench(width, satWorkers int, farmSelgen string, farmWorkers int, pa
 		return best, patterns, synth, verify, nil
 	}
 	for _, g := range goals {
-		inc, patterns, synth, verify, err := run(g, false, 1)
+		inc, patterns, synth, verify, err := run(g, false)
 		if err != nil {
 			return err
 		}
-		fresh, _, _, _, err := run(g, true, 1)
+		fresh, _, _, _, err := run(g, true)
 		if err != nil {
 			return err
 		}
@@ -204,23 +191,12 @@ func runCEGISBench(width, satWorkers int, farmSelgen string, farmWorkers int, pa
 			Synth:         synth,
 			Verify:        verify,
 		}
-		if satWorkers > 1 {
-			pf, _, _, _, err := run(g, false, satWorkers)
-			if err != nil {
-				return err
-			}
-			bg.PortfolioMS = float64(pf) / float64(time.Millisecond)
-			out.PortfolioMS += bg.PortfolioMS
-		}
 		out.Goals = append(out.Goals, bg)
 		out.IncrementalMS += bg.IncrementalMS
 		out.FreshMS += bg.FreshMS
 	}
 	if out.IncrementalMS > 0 {
 		out.Speedup = out.FreshMS / out.IncrementalMS
-	}
-	if out.PortfolioMS > 0 {
-		out.PortfolioSpeedup = out.IncrementalMS / out.PortfolioMS
 	}
 
 	// Library-shrink comparison: the same quickstart set synthesized
@@ -316,14 +292,8 @@ func runCEGISBench(width, satWorkers int, farmSelgen string, farmWorkers int, pa
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if out.PortfolioMS > 0 {
-		fmt.Printf("incremental %.0fms vs fresh %.0fms (%.2fx); portfolio(%d) %.0fms (%.2fx vs incremental) -> %s\n",
-			out.IncrementalMS, out.FreshMS, out.Speedup,
-			out.SatWorkers, out.PortfolioMS, out.PortfolioSpeedup, path)
-	} else {
-		fmt.Printf("incremental %.0fms vs fresh %.0fms (%.2fx) -> %s\n",
-			out.IncrementalMS, out.FreshMS, out.Speedup, path)
-	}
+	fmt.Printf("incremental %.0fms vs fresh %.0fms (%.2fx) -> %s\n",
+		out.IncrementalMS, out.FreshMS, out.Speedup, path)
 	fmt.Printf("cost-aware quickstart library: %d rules (mean cost %.2f) vs exhaustive %d rules; %d multisets dominated\n",
 		out.Cost.CostAwareRules, out.Cost.MeanRuleCost,
 		out.Cost.ExhaustiveRules, out.Cost.DominatedMultisets)
@@ -446,7 +416,7 @@ var synthState *driver.RunState
 // without -status; driver.Run then creates its own metrics-only one).
 var synthObs *obs.Tracer
 
-func loadOrSynthesize(path, what, targetName string, groups []driver.Group, width, satWorkers int) (*pattern.Library, error) {
+func loadOrSynthesize(path, what, targetName string, groups []driver.Group, width int) (*pattern.Library, error) {
 	if path != "" {
 		f, err := os.Open(path)
 		if err != nil {
@@ -462,7 +432,6 @@ func loadOrSynthesize(path, what, targetName string, groups []driver.Group, widt
 		PerGoalTimeout:     2 * time.Minute,
 		MaxPatternsPerGoal: 48,
 		Seed:               1,
-		SatWorkers:         satWorkers,
 		Faults:             synthFaults,
 		DisableCostAware:   synthDisableCostAware,
 		Obs:                synthObs,
@@ -481,12 +450,11 @@ func main() {
 		basicPath = flag.String("basic", "", "basic rule library JSON (synthesized when empty)")
 		fullPath  = flag.String("full", "", "full rule library JSON (synthesized when empty)")
 		seed      = flag.Int64("seed", 99, "workload seed")
-		workers   = flag.Int("sat-workers", 1, "diversified SAT portfolio workers for hard verification queries (1 = sequential)")
-		jsonBench = flag.Bool("json", false, "benchmark incremental vs fresh CEGIS (and the SAT portfolio when -sat-workers > 1), write BENCH_cegis.json and BENCH_isel.json, and exit")
+		jsonBench = flag.Bool("json", false, "benchmark incremental vs fresh CEGIS, write BENCH_cegis.json and BENCH_isel.json, and exit")
 		iselJSON  = flag.Bool("isel-json", false, "run only the selection-scaling benchmark, write BENCH_isel.json, and exit")
 		iselReps  = flag.Int("isel-reps", 3, "selection benchmark repetitions per library (best-of)")
 		trace     = flag.String("trace", "", "write a Chrome trace_event JSON file of the Table 1 run (isel.select spans)")
-		faults    = flag.String("faults", "", "arm fault-injection points during library synthesis, e.g. 'sat.worker.crash=once' (testing only)")
+		faults    = flag.String("faults", "", "arm fault-injection points during library synthesis, e.g. 'sat.spurious.timeout=once' (testing only)")
 		fseed     = flag.Int64("fault-seed", 1, "seed for probabilistic fault-injection modes")
 		costAware = flag.Bool("cost-aware", true, "synthesize libraries with cost-ordered enumeration and dominance pruning (false = exhaustive size-major ablation)")
 		status    = flag.String("status", "", "serve live telemetry (Prometheus /metrics, per-goal /goals, /debug/pprof) on this address during library synthesis and the Table 1 run (empty = no server)")
@@ -539,7 +507,7 @@ func main() {
 	}
 
 	if *jsonBench {
-		if err := runCEGISBench(*width, *workers, *farmSel, *farmWkrs, "BENCH_cegis.json"); err != nil {
+		if err := runCEGISBench(*width, *farmSel, *farmWkrs, "BENCH_cegis.json"); err != nil {
 			fmt.Fprintf(os.Stderr, "iselbench: cegis bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -560,12 +528,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "iselbench: %v\n", err)
 		os.Exit(2)
 	}
-	basicLib, err := loadOrSynthesize(*basicPath, "basic", tgt.Name, basicGroups, *width, *workers)
+	basicLib, err := loadOrSynthesize(*basicPath, "basic", tgt.Name, basicGroups, *width)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iselbench: basic library: %v\n", err)
 		os.Exit(1)
 	}
-	fullLib, err := loadOrSynthesize(*fullPath, "full", tgt.Name, fullGroups, *width, *workers)
+	fullLib, err := loadOrSynthesize(*fullPath, "full", tgt.Name, fullGroups, *width)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iselbench: full library: %v\n", err)
 		os.Exit(1)

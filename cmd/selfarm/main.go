@@ -58,7 +58,6 @@ func run() int {
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-goal synthesis timeout")
 		maxPat    = flag.Int("max-patterns", 64, "max patterns per goal (0 = unlimited)")
 		seed      = flag.Int64("seed", 1, "test-case seed")
-		satWkr    = flag.Int("sat-workers", 1, "diversified SAT portfolio workers inside each farm worker")
 		retries   = flag.Int("max-retries", 0, "retry-ladder depth for budget failures (0 = default)")
 		costAware = flag.Bool("cost-aware", true, "cost-ordered enumeration and dominance pruning")
 		verbose   = flag.Bool("v", false, "pass worker stderr through and print farm events")
@@ -137,7 +136,6 @@ func run() int {
 		PerGoalTimeout:     *timeout,
 		MaxPatternsPerGoal: *maxPat,
 		Seed:               *seed,
-		SatWorkers:         *satWkr,
 		MaxRetries:         *retries,
 		DisableCostAware:   !*costAware,
 		Obs:                tracer,
@@ -159,7 +157,6 @@ func run() int {
 		"-timeout", timeout.String(),
 		"-max-patterns", strconv.Itoa(*maxPat),
 		"-seed", strconv.FormatInt(*seed, 10),
-		"-sat-workers", strconv.Itoa(*satWkr),
 		"-max-retries", strconv.Itoa(*retries),
 		"-cost-aware=" + strconv.FormatBool(*costAware),
 	}

@@ -58,13 +58,13 @@ func run() int {
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-goal synthesis timeout")
 		maxPat    = flag.Int("max-patterns", 64, "max patterns per goal (0 = unlimited)")
 		seed      = flag.Int64("seed", 1, "test-case seed")
-		workers   = flag.Int("sat-workers", 1, "diversified SAT portfolio workers for hard verification queries (1 = sequential)")
+		workers   = flag.Int("sat-workers", 1, "compatibility stub: the SAT search is sequential, so only 0 and 1 are accepted")
 		verbose   = flag.Bool("v", false, "print per-goal progress")
 		trace     = flag.String("trace", "", "write a Chrome trace_event JSON file (view in chrome://tracing or Perfetto)")
 		check     = flag.Bool("check-selection", false, "after synthesis, select the synthetic Table 1 workload with the new library and report coverage and matching effort (isel.* spans land in -trace)")
 		jpath     = flag.String("journal", "", "write a crash-safe run journal (JSONL checkpoint) to this file; with -farm, the worker's shard")
 		resume    = flag.String("resume", "", "resume an interrupted run from this journal (implies -journal on the same file)")
-		faults    = flag.String("faults", "", "arm fault-injection points, e.g. 'sat.worker.crash=once,journal.kill=hit:2' (testing only)")
+		faults    = flag.String("faults", "", "arm fault-injection points, e.g. 'sat.spurious.timeout=once,journal.kill=hit:2' (testing only)")
 		fseed     = flag.Int64("fault-seed", 1, "seed for probabilistic fault-injection modes")
 		retries   = flag.Int("max-retries", 0, "retry-ladder depth for budget failures (0 = default, negative = single attempt, non-deadline errors fatal)")
 		costAware = flag.Bool("cost-aware", true, "enumerate multisets in ascending cycle cost and prune dominated rules (false = exhaustive size-major ablation)")
@@ -78,6 +78,10 @@ func run() int {
 	flag.Parse()
 
 	if err := driver.CheckWidth(*width); err != nil {
+		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
+		return 2
+	}
+	if err := driver.CheckSatWorkers(*workers); err != nil {
 		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
 		return 2
 	}
@@ -121,7 +125,6 @@ func run() int {
 		PerGoalTimeout:     *timeout,
 		MaxPatternsPerGoal: *maxPat,
 		Seed:               *seed,
-		SatWorkers:         *workers,
 		Obs:                tracer,
 		MaxRetries:         *retries,
 		Faults:             reg,

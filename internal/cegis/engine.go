@@ -35,17 +35,6 @@ type Config struct {
 	MaxPatternsPerMultiset int
 	// QueryConflicts caps each SMT query (0 = unlimited).
 	QueryConflicts int64
-	// SatWorkers, when > 1, routes verification queries through a
-	// diversified SAT portfolio of that many workers once a query
-	// outgrows the sequential probe's conflict budget (see
-	// smt.Options.PortfolioWorkers). Verification is where the hard,
-	// Z3-gap queries live; synthesis queries stay sequential so
-	// candidate enumeration order remains deterministic.
-	SatWorkers int
-	// SatProbe overrides the portfolio's sequential probe budget in
-	// conflicts (0 = sat.DefaultProbeConflicts, negative = fan out
-	// immediately). Mostly for benchmarks and tests.
-	SatProbe int64
 	// Deadline aborts the whole run when exceeded (zero = none).
 	Deadline time.Time
 	// InitialTests is the number of seeded test cases (default 4).
@@ -237,19 +226,6 @@ func (e *Engine) queryOpts() smt.Options {
 	o := smt.Options{MaxConflicts: e.cfg.QueryConflicts}
 	if !e.cfg.Deadline.IsZero() {
 		o.Timeout = time.Until(e.cfg.Deadline)
-	}
-	return o
-}
-
-// verifyOpts is queryOpts plus the SAT portfolio for verification
-// queries: hard verify queries fan out to SatWorkers diversified
-// workers once they exceed the sequential probe's conflict budget.
-func (e *Engine) verifyOpts() smt.Options {
-	o := e.queryOpts()
-	if e.cfg.SatWorkers > 1 {
-		o.PortfolioWorkers = e.cfg.SatWorkers
-		o.PortfolioSeed = e.cfg.Seed + 1
-		o.PortfolioProbe = e.cfg.SatProbe
 	}
 	return o
 }

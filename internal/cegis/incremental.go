@@ -139,7 +139,7 @@ func (v *verifier) assertCandidate(e *Engine, p *pattern.Pattern) (err error) {
 // check runs the verification query and extracts a counterexample on
 // Sat.
 func (v *verifier) check(e *Engine, goal *sem.Instr) (cex []uint64, ok bool, err error) {
-	res, cerr := v.solver.Check(e.verifyOpts())
+	res, cerr := v.solver.Check(e.queryOpts())
 	switch res {
 	case smt.Unsat:
 		return nil, true, nil

@@ -14,10 +14,10 @@ import (
 // ConfigHash returns a stable fingerprint of the library-shaping parts
 // of a run configuration: the synthesis budgets and seed from opts
 // (normalized with the same defaults Run applies) and the full group
-// structure (names, bounds, goal and op sets). Knobs that provably do
-// not change the library are excluded — Parallel (results merge in goal
-// order) and SatWorkers (the portfolio is verdict-preserving) — so a
-// crashed sequential run can legitimately be resumed with more workers.
+// structure (names, bounds, goal and op sets). Parallel is excluded
+// because results merge in goal order, so the library does not depend
+// on it: a crashed sequential run can legitimately be resumed with more
+// workers.
 func ConfigHash(groups []Group, opts Options) string {
 	if opts.Width == 0 {
 		opts.Width = 8

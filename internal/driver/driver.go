@@ -321,11 +321,9 @@ type Options struct {
 	// results from parallel synthesizer runs; results are merged in
 	// goal order, so the library is deterministic regardless.
 	Parallel int
-	// SatWorkers, when > 1, runs hard verification queries on a
-	// diversified SAT portfolio of that many workers with first-wins
-	// cancellation (cegis.Config.SatWorkers). Verdicts — and therefore
-	// the synthesized library — are unaffected; only wall-clock time
-	// and the winning models' values vary.
+	// SatWorkers is a compatibility stub: the SAT search is sequential,
+	// so only 0 and 1 are accepted, and Run and NewGoalRunner reject
+	// anything larger before any goal starts (CheckSatWorkers).
 	SatWorkers int
 	// Progress, when non-nil, receives per-goal progress lines.
 	Progress io.Writer

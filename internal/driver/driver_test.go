@@ -93,31 +93,47 @@ func TestSetupShapes(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeWidthRejected: a word width outside 0..64 fails Run and
-// NewGoalRunner before any goal starts, instead of quarantining every
-// goal on the bv.BitVec panic and returning an empty library; 0 still
-// selects the default 8.
-func TestOutOfRangeWidthRejected(t *testing.T) {
+// TestOutOfRangeOptionsRejected: options outside their accepted range
+// — a word width outside 0..64, more than one SAT worker — fail Run and
+// NewGoalRunner before any goal starts, with no library, no report and
+// nothing quarantined (an out-of-range width would otherwise quarantine
+// every goal on the bv.BitVec panic). Width 0 still selects the
+// default 8, and SatWorkers 0 and 1 are accepted.
+func TestOutOfRangeOptionsRejected(t *testing.T) {
 	groups := QuickSetup()
-	for _, w := range []int{65, -3} {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"width 65", Options{Width: 65}},
+		{"width -3", Options{Width: -3}},
+		{"2 SAT workers", Options{SatWorkers: 2}},
+	} {
 		tr := obs.New()
-		lib, rep, err := Run(groups, Options{Width: w, Seed: 1, Obs: tr})
+		opts := tc.opts
+		opts.Seed, opts.Obs = 1, tr
+		lib, rep, err := Run(groups, opts)
 		if err == nil {
-			t.Errorf("width %d: Run succeeded with %d rules", w, len(lib.Rules))
+			t.Errorf("%s: Run succeeded with %d rules", tc.name, len(lib.Rules))
 		}
 		if lib != nil || rep != nil {
-			t.Errorf("width %d: Run returned a library or report alongside %v", w, err)
+			t.Errorf("%s: Run returned a library or report alongside %v", tc.name, err)
 		}
 		if n := tr.Metrics().CounterValue("driver.quarantine"); n != 0 {
-			t.Errorf("width %d: %d goal(s) quarantined", w, n)
+			t.Errorf("%s: %d goal(s) quarantined", tc.name, n)
 		}
-		if _, err := NewGoalRunner(groups, Options{Width: w}); err == nil {
-			t.Errorf("width %d: NewGoalRunner accepted it", w)
+		if _, err := NewGoalRunner(groups, tc.opts); err == nil {
+			t.Errorf("%s: NewGoalRunner accepted it", tc.name)
 		}
 	}
 	for _, w := range []int{0, 1, 64} {
 		if err := CheckWidth(w); err != nil {
 			t.Errorf("width %d rejected: %v", w, err)
+		}
+	}
+	for _, n := range []int{0, 1} {
+		if _, err := (Options{SatWorkers: n}).normalize(); err != nil {
+			t.Errorf("SatWorkers %d rejected: %v", n, err)
 		}
 	}
 	if o, err := (Options{}).normalize(); err != nil || o.Width != 8 {

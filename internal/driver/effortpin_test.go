@@ -59,7 +59,6 @@ func TestSynthesisEffortPinned(t *testing.T) {
 			Target: name, Width: 8, Seed: 1,
 			MaxPatternsPerGoal: 64,
 			PerGoalTimeout:     scaledTimeout(5 * time.Minute),
-			SatWorkers:         1,
 		})
 		if err != nil {
 			t.Fatalf("%s: synthesis: %v", name, err)

@@ -85,10 +85,24 @@ func CheckWidth(w int) error {
 	return nil
 }
 
+// CheckSatWorkers rejects an Options.SatWorkers (or -sat-workers)
+// value the sequential SAT search cannot honour: only 0 and 1 are
+// accepted. Run and NewGoalRunner apply it before any goal starts;
+// selgen applies it to its -sat-workers flag.
+func CheckSatWorkers(n int) error {
+	if n > 1 {
+		return fmt.Errorf("driver: %d SAT workers requested, but the SAT search is sequential (only 0 and 1 are accepted)", n)
+	}
+	return nil
+}
+
 // normalize checks opts and applies Run's option defaults (kept in
 // sync with ConfigHash).
 func (o Options) normalize() (Options, error) {
 	if err := CheckWidth(o.Width); err != nil {
+		return o, err
+	}
+	if err := CheckSatWorkers(o.SatWorkers); err != nil {
 		return o, err
 	}
 	if o.Width == 0 {

@@ -128,6 +128,29 @@ func TestRetryLadderRecovers(t *testing.T) {
 	}
 }
 
+// TestRetryLadderShape pins the attempt sequence: rung 0 is the
+// configured budget, rung 1 doubles the timeout, rung 2 quadruples it
+// and falls back to classical CEGIS, deeper rungs repeat rung 2, and a
+// negative MaxRetries leaves a single attempt.
+func TestRetryLadderShape(t *testing.T) {
+	const T = time.Minute
+	for _, tc := range []struct {
+		retries int
+		timeout time.Duration
+		want    []rung
+	}{
+		{-1, T, []rung{{T, false}}},
+		{0, T, []rung{{T, false}, {2 * T, false}, {4 * T, true}}},
+		{3, T, []rung{{T, false}, {2 * T, false}, {4 * T, true}, {4 * T, true}}},
+		{0, 0, []rung{{0, false}, {0, false}, {0, true}}},
+	} {
+		r := &runner{opts: Options{MaxRetries: tc.retries, PerGoalTimeout: tc.timeout}}
+		if got := r.ladder(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("MaxRetries %d, timeout %v: ladder %+v, want %+v", tc.retries, tc.timeout, got, tc.want)
+		}
+	}
+}
+
 // TestVerifyDieQuarantines: a panic deep in the engine (the verifier
 // dying with a counterexample in hand) classifies as internal, not
 // retryable — the goal is quarantined without burning the ladder.

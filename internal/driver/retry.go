@@ -1,11 +1,11 @@
 // Per-goal fault tolerance: the retry ladder, the panic quarantine, and
 // the error classification that decides between them. A goal that blows
 // its budget (deadline, SMT conflict budget) is retried with escalating
-// resources — longer timeout, a SAT portfolio, finally the classical
-// non-incremental pipeline — while a goal that hits a bug (a panic
-// anywhere below the driver, an internal solver error) is quarantined:
-// recorded with its stack, reported, and skipped, so one broken goal
-// never kills a whole library run.
+// resources — a longer timeout, finally the classical non-incremental
+// pipeline — while a goal that hits a bug (a panic anywhere below the
+// driver, an internal solver error) is quarantined: recorded with its
+// stack, reported, and skipped, so one broken goal never kills a whole
+// library run.
 
 package driver
 
@@ -78,8 +78,7 @@ const DefaultRetries = 2
 // rung is one step of the retry ladder: the resources granted to one
 // synthesis attempt.
 type rung struct {
-	timeout    time.Duration
-	satWorkers int
+	timeout time.Duration
 	// classical reverts to the non-incremental CEGIS pipeline — fresh
 	// solver state per multiset and per query — trading speed for
 	// minimal shared state, the last resort when incremental runs keep
@@ -99,12 +98,12 @@ type runner struct {
 }
 
 // ladder returns the attempt sequence for one goal. Rung 0 is the
-// configured budget; rung 1 doubles the timeout and enables a SAT
-// portfolio; rung 2 quadruples the timeout (the cap) and falls back to
-// classical CEGIS. MaxRetries < 0 disables the ladder (single attempt,
-// legacy error handling); deeper ladders repeat the rung-2 shape.
+// configured budget; rung 1 doubles the timeout; rung 2 quadruples the
+// timeout (the cap) and falls back to classical CEGIS. MaxRetries < 0
+// disables the ladder (single attempt, legacy error handling); deeper
+// ladders repeat the rung-2 shape.
 func (r *runner) ladder() []rung {
-	base := rung{timeout: r.opts.PerGoalTimeout, satWorkers: r.opts.SatWorkers}
+	base := rung{timeout: r.opts.PerGoalTimeout}
 	retries := r.opts.MaxRetries
 	if retries < 0 {
 		return []rung{base}
@@ -114,15 +113,10 @@ func (r *runner) ladder() []rung {
 	}
 	rungs := []rung{base}
 	for i := 1; i <= retries; i++ {
-		rg := base
-		if base.timeout > 0 {
-			rg.timeout = base.timeout * time.Duration(1<<min(i, 2))
-		}
-		if rg.satWorkers < 2 {
-			rg.satWorkers = 2
-		}
-		rg.classical = i >= 2
-		rungs = append(rungs, rg)
+		rungs = append(rungs, rung{
+			timeout:   base.timeout * time.Duration(1<<min(i, 2)),
+			classical: i >= 2,
+		})
 	}
 	return rungs
 }
@@ -258,7 +252,6 @@ func (r *runner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, p
 		MaxPatternsPerMultiset: grp.MaxPatternsPerMultiset,
 		FreezeArgWitnesses:     grp.FreezeArgWitnesses,
 		Seed:                   r.opts.Seed,
-		SatWorkers:             rg.satWorkers,
 		DisableIncremental:     rg.classical,
 		DisableCostAware:       r.opts.DisableCostAware,
 		Obs:                    r.tr,

@@ -32,9 +32,6 @@ import (
 // so a typo in a -faults spec fails fast instead of silently injecting
 // nothing.
 const (
-	// SatWorkerCrash panics inside a portfolio worker goroutine
-	// (contained by the portfolio; see sat.ErrWorkerPanic).
-	SatWorkerCrash = "sat.worker.crash"
 	// SatSpuriousTimeout makes sat.Solver.Solve report budget
 	// exhaustion immediately, as if the query were too hard.
 	SatSpuriousTimeout = "sat.spurious.timeout"
@@ -85,7 +82,6 @@ const (
 
 // Known is the set of registered failpoint names.
 var Known = map[string]bool{
-	SatWorkerCrash:      true,
 	SatSpuriousTimeout:  true,
 	SmtBlastDeadline:    true,
 	SmtCheckPanic:       true,
@@ -138,7 +134,7 @@ func New(seed int64) *Registry {
 // Parse builds a registry from a comma-separated spec list as accepted
 // by the -faults flag, e.g.
 //
-//	sat.worker.crash=once,smt.check.panic=hit:3,journal.torn.write=prob:0.1
+//	sat.spurious.timeout=once,smt.check.panic=hit:3,journal.torn.write=prob:0.1
 //
 // An empty spec yields a nil registry (fault injection off).
 func Parse(spec string, seed int64) (*Registry, error) {

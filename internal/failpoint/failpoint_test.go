@@ -8,10 +8,10 @@ import (
 
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
-	if r.Active(SatWorkerCrash) {
+	if r.Active(SatSpuriousTimeout) {
 		t.Fatalf("nil registry must never fire")
 	}
-	if r.Hits(SatWorkerCrash) != 0 || r.Fired(SatWorkerCrash) != 0 {
+	if r.Hits(SatSpuriousTimeout) != 0 || r.Fired(SatSpuriousTimeout) != 0 {
 		t.Fatalf("nil registry must report zero hits/fires")
 	}
 }
@@ -32,11 +32,11 @@ func TestParseRejectsUnknownName(t *testing.T) {
 
 func TestParseRejectsBadMode(t *testing.T) {
 	for _, spec := range []string{
-		"sat.worker.crash",           // missing =
-		"sat.worker.crash=sometimes", // unknown mode
-		"sat.worker.crash=hit:0",     // hit counts are 1-based
-		"sat.worker.crash=hit:x",
-		"sat.worker.crash=prob:1.5",
+		"sat.spurious.timeout",           // missing =
+		"sat.spurious.timeout=sometimes", // unknown mode
+		"sat.spurious.timeout=hit:0",     // hit counts are 1-based
+		"sat.spurious.timeout=hit:x",
+		"sat.spurious.timeout=prob:1.5",
 	} {
 		if _, err := Parse(spec, 1); err == nil {
 			t.Errorf("spec %q should be rejected", spec)
@@ -45,13 +45,13 @@ func TestParseRejectsBadMode(t *testing.T) {
 }
 
 func TestCountedModes(t *testing.T) {
-	r, err := Parse("sat.worker.crash=once,smt.check.panic=hit:3,cegis.verify.die=after:2,journal.torn.write=always", 1)
+	r, err := Parse("sat.spurious.timeout=once,smt.check.panic=hit:3,cegis.verify.die=after:2,journal.torn.write=always", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var once, hit3, after2, always []bool
 	for i := 0; i < 5; i++ {
-		once = append(once, r.Active(SatWorkerCrash))
+		once = append(once, r.Active(SatSpuriousTimeout))
 		hit3 = append(hit3, r.Active(SmtCheckPanic))
 		after2 = append(after2, r.Active(CegisVerifyDie))
 		always = append(always, r.Active(JournalTornWrite))
@@ -67,8 +67,8 @@ func TestCountedModes(t *testing.T) {
 	want("hit:3", hit3, []bool{false, false, true, false, false})
 	want("after:2", after2, []bool{false, false, true, true, true})
 	want("always", always, []bool{true, true, true, true, true})
-	if r.Hits(SatWorkerCrash) != 5 || r.Fired(SatWorkerCrash) != 1 {
-		t.Fatalf("once: want 5 hits / 1 fire, got %d/%d", r.Hits(SatWorkerCrash), r.Fired(SatWorkerCrash))
+	if r.Hits(SatSpuriousTimeout) != 5 || r.Fired(SatSpuriousTimeout) != 1 {
+		t.Fatalf("once: want 5 hits / 1 fire, got %d/%d", r.Hits(SatSpuriousTimeout), r.Fired(SatSpuriousTimeout))
 	}
 }
 

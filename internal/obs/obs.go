@@ -106,9 +106,6 @@ func (t *Tracer) EnableTrace() {
 	t.trace.Store(true)
 }
 
-// TraceEnabled reports whether trace events are being collected.
-func (t *Tracer) TraceEnabled() bool { return t != nil && t.trace.Load() }
-
 // SetProgress attaches a writer that receives Progressf lines.
 func (t *Tracer) SetProgress(w io.Writer) {
 	if t == nil {

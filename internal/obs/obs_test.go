@@ -24,7 +24,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 		t.Fatalf("nil tracer span must be inactive")
 	}
 	sp.End(Int("n", 1))
-	if tr.Metrics() != nil || tr.NumEvents() != 0 || tr.TraceEnabled() {
+	if tr.Metrics() != nil || tr.NumEvents() != 0 {
 		t.Fatalf("nil tracer must report empty state")
 	}
 	var buf bytes.Buffer

@@ -45,7 +45,7 @@ func BenchmarkPigeonhole7x6(b *testing.B) {
 // unsatisfiable, and the search is dominated by unit propagation
 // through the adder chains, like the bit-blasted synthesis queries.
 func mulMiterCNF(w int) *cnf {
-	c := &cnf{name: "mul-miter"}
+	c := &cnf{}
 	fresh := func() Lit { c.nvars++; return MkLit(Var(c.nvars-1), false) }
 	add := func(ls ...Lit) { c.clause = append(c.clause, ls) }
 	and := func(x, y Lit) Lit {

@@ -110,12 +110,7 @@ func TestRecycledSolveDoesNotAllocate(t *testing.T) {
 	run := func() {
 		for _, c := range insts {
 			s.Recycle()
-			for i := 0; i < c.nvars; i++ {
-				s.NewVar()
-			}
-			for _, cl := range c.clause {
-				s.AddClause(cl...)
-			}
+			c.load(s)
 			if _, err := s.Solve(Options{}); err != nil {
 				t.Fatal(err)
 			}

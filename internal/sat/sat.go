@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"selgen/internal/failpoint"
@@ -70,7 +68,7 @@ const (
 type Status int
 
 const (
-	// Unknown means the solver gave up (budget exhausted or canceled).
+	// Unknown means the solver gave up (budget exhausted).
 	Unknown Status = iota
 	// Sat means a satisfying assignment was found.
 	Sat
@@ -90,40 +88,9 @@ func (s Status) String() string {
 }
 
 // ErrBudget is returned by Solve when the conflict or time budget set in
-// Options is exhausted before a definite answer is reached.
+// Options is exhausted before a definite answer is reached. It is the
+// only error Solve returns.
 var ErrBudget = errors.New("sat: budget exhausted")
-
-// ErrCanceled is returned by Solve when Options.Stop was set by another
-// goroutine (a portfolio sibling won the race; see portfolio.go).
-var ErrCanceled = errors.New("sat: canceled")
-
-// Polarity selects how branching decisions pick a phase.
-type Polarity int
-
-const (
-	// PhaseSaving (the default) reuses the variable's last assigned
-	// phase — the classic MiniSat heuristic.
-	PhaseSaving Polarity = iota
-	// PolarityFalse always branches negative first.
-	PolarityFalse
-	// PolarityTrue always branches positive first.
-	PolarityTrue
-	// PolarityRandom picks a seeded-random phase per decision (requires
-	// Options.Seed; falls back to phase saving without one).
-	PolarityRandom
-)
-
-// RestartSchedule selects the restart-interval sequence.
-type RestartSchedule int
-
-const (
-	// RestartLuby (the default) uses the Luby sequence × 100 conflicts.
-	RestartLuby RestartSchedule = iota
-	// RestartGeometric grows the interval geometrically (×1.5 from 100),
-	// restarting less and less often — a long-run complement to Luby's
-	// frequent short bursts.
-	RestartGeometric
-)
 
 // Clauses live inline in one flat []Lit arena (see DESIGN.md, "SAT core
 // memory layout"). A clause reference (cref) is the arena index of its
@@ -157,35 +124,14 @@ type watcher struct {
 func (w watcher) cref() int32  { return int32(w.cw >> 1) }
 func (w watcher) binary() bool { return w.cw&1 != 0 }
 
-// Options configure a Solve call. The zero value means "no limits" and
-// reproduces the classic deterministic search (phase saving, Luby
-// restarts, no randomness).
+// Options configure a Solve call. The zero value means "no limits". The
+// search itself is fixed and deterministic: phase saving, Luby
+// restarts, no randomness.
 type Options struct {
 	// MaxConflicts aborts the search after this many conflicts (0 = no limit).
 	MaxConflicts int64
 	// Deadline aborts the search at this time (zero = no deadline).
 	Deadline time.Time
-	// Seed, when nonzero, seeds a per-solve RNG used for branching
-	// tie-breaks: a small fraction of decisions pick a random unassigned
-	// variable instead of the VSIDS maximum, diversifying otherwise
-	// identical searches. Zero keeps the search fully deterministic.
-	Seed int64
-	// Polarity selects the decision-phase heuristic.
-	Polarity Polarity
-	// RestartSchedule selects the restart-interval sequence.
-	RestartSchedule RestartSchedule
-	// Stop, when non-nil, is polled at the same cadence as Deadline (at
-	// restarts, every 256 conflicts, and every 1024 decisions): once set,
-	// Solve returns Unknown with ErrCanceled. Portfolio workers share one
-	// flag for first-wins cancellation.
-	Stop *atomic.Bool
-	// Exchange, when non-nil, shares short learnt clauses (length ≤
-	// MaxSharedLen) with other solvers working the same CNF; ExchangeID
-	// identifies this worker so it skips its own publications. Only sound
-	// between solvers whose clause databases are consequences of the same
-	// formula (see Portfolio).
-	Exchange   *Exchange
-	ExchangeID int
 	// Obs, when non-nil, receives per-solve effort deltas (sat.decisions,
 	// sat.propagations, sat.conflicts, sat.restarts counters) and the
 	// sat.solve.us latency histogram.
@@ -204,10 +150,6 @@ type Stats struct {
 	Restarts     int64
 	Learnt       int64
 	Removed      int64
-	// Published / Imported count short learnt clauses exported to and
-	// adopted from Options.Exchange.
-	Published int64
-	Imported  int64
 }
 
 // Solver is a CDCL SAT solver. Create one with New, add variables with
@@ -253,17 +195,6 @@ type Solver struct {
 	origBuf   []Var
 	stackBuf  []Var
 	sortBuf   []int32 // reduceDB's activity order; swapped with learnts
-
-	// Per-Solve worker state, installed from Options at the top of each
-	// Solve call and cleared on return (and by Recycle): the
-	// diversification RNG, the polarity mode, the cancellation flag, and
-	// the clause-exchange endpoint with its read cursor.
-	rng        *rand.Rand
-	polMode    Polarity
-	stop       *atomic.Bool
-	exch       *Exchange
-	exchID     int
-	exchCursor uint64
 
 	Stats Stats
 }
@@ -337,15 +268,6 @@ func (s *Solver) Recycle() {
 	s.ok = true
 	s.model = s.model[:0]
 	s.toClr = s.toClr[:0]
-	// Worker state is per-Solve (installed from Options and cleared on
-	// return), but a recycled solver must not retain a previous life's
-	// RNG stream, cancellation flag, or exchange cursor either.
-	s.rng = nil
-	s.polMode = PhaseSaving
-	s.stop = nil
-	s.exch = nil
-	s.exchID = 0
-	s.exchCursor = 0
 	s.Stats = Stats{}
 }
 
@@ -755,19 +677,7 @@ func (s *Solver) decayActivities() {
 	s.claInc /= 0.999
 }
 
-// randFreq is the denominator of the random-branching frequency under a
-// seeded search: roughly 1 in randFreq decisions picks a random
-// unassigned variable instead of the VSIDS maximum.
-const randFreq = 32
-
 func (s *Solver) pickBranchVar() Var {
-	if s.rng != nil && len(s.order.heap) > 0 && s.rng.Intn(randFreq) == 0 {
-		// Seeded tie-break: branch on a random heap entry. The variable
-		// stays in the heap; assigned entries are skipped when popped.
-		if v := s.order.heap[s.rng.Intn(len(s.order.heap))]; s.varValue(v) == lUndef {
-			return v
-		}
-	}
 	for !s.order.empty() {
 		v := s.order.pop()
 		if s.varValue(v) == lUndef {
@@ -775,22 +685,6 @@ func (s *Solver) pickBranchVar() Var {
 		}
 	}
 	return -1
-}
-
-// decidePhase picks the phase for a branching decision according to the
-// active polarity mode (true = negated literal, i.e. assign false).
-func (s *Solver) decidePhase(v Var) bool {
-	switch s.polMode {
-	case PolarityFalse:
-		return true
-	case PolarityTrue:
-		return false
-	case PolarityRandom:
-		if s.rng != nil {
-			return s.rng.Intn(2) == 0
-		}
-	}
-	return s.polarity[v]
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the most
@@ -909,9 +803,6 @@ func (s *Solver) Solve(opts Options, assumptions ...Lit) (Status, error) {
 	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
 		return Unknown, ErrBudget
 	}
-	if opts.Stop != nil && opts.Stop.Load() {
-		return Unknown, ErrCanceled
-	}
 	// Injected budget exhaustion: report the query as too hard without
 	// searching (exercises callers' timeout/abandonment paths).
 	if opts.Faults.Active(failpoint.SatSpuriousTimeout) {
@@ -919,42 +810,13 @@ func (s *Solver) Solve(opts Options, assumptions ...Lit) (Status, error) {
 	}
 	defer s.cancelUntil(0)
 
-	// Install the per-Solve worker state (diversification, cancellation,
-	// clause exchange) and clear it on return so incremental callers'
-	// later plain Solves are unaffected.
-	s.polMode = opts.Polarity
-	if opts.Seed != 0 {
-		s.rng = rand.New(rand.NewSource(opts.Seed))
-	}
-	s.stop = opts.Stop
-	s.exch = opts.Exchange
-	s.exchID = opts.ExchangeID
-	s.exchCursor = 0 // collect clamps to the exchange's live window
-	defer func() {
-		s.rng = nil
-		s.polMode = PhaseSaving
-		s.stop = nil
-		s.exch = nil
-		s.exchID = 0
-		s.exchCursor = 0
-	}()
-
 	restartIdx := int64(0)
-	baseRestart := int64(100)
-	geomBudget := baseRestart
 	maxLearnts := float64(len(s.clauses))/3 + 1000
 	conflictsAtStart := s.Stats.Conflicts
 
 	for {
 		restartIdx++
-		var budget int64
-		if opts.RestartSchedule == RestartGeometric {
-			budget = geomBudget
-			geomBudget = geomBudget * 3 / 2
-		} else {
-			budget = luby(restartIdx) * baseRestart
-		}
-		st := s.search(budget, assumptions, &maxLearnts, opts, conflictsAtStart)
+		st := s.search(luby(restartIdx)*100, assumptions, &maxLearnts, opts, conflictsAtStart)
 		switch st {
 		case Sat:
 			// Reuse the model slice across Solve calls: this sits in the
@@ -972,10 +834,7 @@ func (s *Solver) Solve(opts Options, assumptions ...Lit) (Status, error) {
 		case Unsat:
 			return Unsat, nil
 		}
-		// Check budget and cancellation between restarts.
-		if s.stop != nil && s.stop.Load() {
-			return Unknown, ErrCanceled
-		}
+		// Check the budget between restarts.
 		if opts.MaxConflicts > 0 && s.Stats.Conflicts-conflictsAtStart >= opts.MaxConflicts {
 			return Unknown, ErrBudget
 		}
@@ -983,16 +842,6 @@ func (s *Solver) Solve(opts Options, assumptions ...Lit) (Status, error) {
 			return Unknown, ErrBudget
 		}
 		s.Stats.Restarts++
-		if s.exch != nil && s.exch.head.Load() > s.exchCursor {
-			// Adopt siblings' short learnt clauses. Import needs a clean
-			// level-0 state (an adopted clause may be unit or falsified
-			// under the current partial assignment), so it forgoes the
-			// assumption-preserving restart below for this round.
-			s.cancelUntil(0)
-			if !s.importShared() {
-				return Unsat, nil
-			}
-		}
 		// Assumption-preserving restart: only undo the VSIDS decisions.
 		// The assumptions occupy the first decision levels and would be
 		// re-assumed identically, so keeping them (and everything they
@@ -1005,63 +854,6 @@ func (s *Solver) Solve(opts Options, assumptions ...Lit) (Status, error) {
 		}
 		s.cancelUntil(keep)
 	}
-}
-
-// importShared adopts pending exchange clauses at decision level 0. It
-// returns false when an import (or its propagation) exposes top-level
-// unsatisfiability.
-func (s *Solver) importShared() bool {
-	ok := true
-	s.exchCursor = s.exch.collect(s.exchID, s.exchCursor, func(lits []Lit) bool {
-		if !s.importClause(lits) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	if !ok {
-		s.ok = false
-		return false
-	}
-	if s.propagate() != -1 {
-		s.ok = false
-		return false
-	}
-	return true
-}
-
-// importClause adds one shared clause at level 0, simplifying against
-// the level-0 assignment. Shared clauses are consequences of the same
-// CNF, so dropping level-0-false literals (and whole level-0-satisfied
-// clauses) is sound. Returns false on top-level unsatisfiability.
-func (s *Solver) importClause(lits []Lit) bool {
-	out := s.addBuf[:0]
-	for _, l := range lits {
-		if int(l.Var()) >= s.NumVars() {
-			return true // foreign variable: not our CNF, skip defensively
-		}
-		switch s.value(l) {
-		case lTrue:
-			return true
-		case lFalse:
-			continue
-		}
-		out = append(out, l)
-	}
-	s.addBuf = out[:0]
-	switch len(out) {
-	case 0:
-		return false
-	case 1:
-		s.uncheckedEnqueue(out[0], -1)
-		s.Stats.Imported++
-		return true
-	}
-	cref := s.allocClause(out, true)
-	s.learnts = append(s.learnts, cref)
-	s.attachClause(cref)
-	s.Stats.Imported++
-	return true
 }
 
 // search runs CDCL until a result, a restart budget expiry (returns
@@ -1080,10 +872,6 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			}
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
-			if s.exch != nil && len(learnt) <= MaxSharedLen {
-				s.exch.publish(s.exchID, learnt)
-				s.Stats.Published++
-			}
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], -1)
 			} else {
@@ -1101,13 +889,8 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			if opts.MaxConflicts > 0 && s.Stats.Conflicts-base >= opts.MaxConflicts {
 				return Unknown
 			}
-			if conflicts%256 == 0 {
-				if s.stop != nil && s.stop.Load() {
-					return Unknown
-				}
-				if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-					return Unknown
-				}
+			if conflicts%256 == 0 && !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
+				return Unknown
 			}
 			continue
 		}
@@ -1135,20 +918,14 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 				return Sat
 			}
 			s.Stats.Decisions++
-			// Conflict-count polling alone leaves the deadline (and the
-			// portfolio stop flag) unchecked through long conflict-free
-			// runs (huge mostly-satisfiable instances), so poll on a
-			// decision interval too.
+			// Conflict-count polling alone leaves the deadline unchecked
+			// through long conflict-free runs (huge mostly-satisfiable
+			// instances), so poll on a decision interval too.
 			decisions++
-			if decisions&1023 == 0 {
-				if s.stop != nil && s.stop.Load() {
-					return Unknown
-				}
-				if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-					return Unknown
-				}
+			if decisions&1023 == 0 && !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
+				return Unknown
 			}
-			next = MkLit(v, s.decidePhase(v))
+			next = MkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, -1)

@@ -1,9 +1,12 @@
 package sat
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
+
+	"selgen/internal/failpoint"
 )
 
 func lit(i int) Lit {
@@ -462,6 +465,138 @@ func pigeonhole(P, H int) *Solver {
 		}
 	}
 	return s
+}
+
+// cnf is an instance both as a clause list (for model verification and
+// rebuilding fresh solvers) and a variable count.
+type cnf struct {
+	nvars  int
+	clause [][]Lit
+}
+
+func (c *cnf) solver() *Solver {
+	s := New()
+	c.load(s)
+	return s
+}
+
+// load allocates the instance's variables in s and adds its clauses.
+func (c *cnf) load(s *Solver) {
+	for i := 0; i < c.nvars; i++ {
+		s.NewVar()
+	}
+	for _, cl := range c.clause {
+		if !s.AddClause(cl...) {
+			break
+		}
+	}
+}
+
+// pigeonholeCNF is pigeonhole() as a clause list: P pigeons, H holes.
+func pigeonholeCNF(P, H int) *cnf {
+	c := &cnf{nvars: P * H}
+	v := func(p, h int) Lit { return MkLit(Var(p*H+h), false) }
+	for p := 0; p < P; p++ {
+		var cl []Lit
+		for h := 0; h < H; h++ {
+			cl = append(cl, v(p, h))
+		}
+		c.clause = append(c.clause, cl)
+	}
+	for h := 0; h < H; h++ {
+		for p1 := 0; p1 < P; p1++ {
+			for p2 := p1 + 1; p2 < P; p2++ {
+				c.clause = append(c.clause, []Lit{v(p1, h).Not(), v(p2, h).Not()})
+			}
+		}
+	}
+	return c
+}
+
+// planted3SATCNF is the planted-solution random 3-SAT generator from
+// the solver tests as a clause list (always satisfiable).
+func planted3SATCNF(seed int64, n, m int) *cnf {
+	rng := rand.New(rand.NewSource(seed))
+	planted := make([]bool, n)
+	for i := range planted {
+		planted[i] = rng.Intn(2) == 0
+	}
+	c := &cnf{nvars: n}
+	for len(c.clause) < m {
+		cl := make([]Lit, 3)
+		for j := range cl {
+			cl[j] = MkLit(Var(rng.Intn(n)), rng.Intn(2) == 0)
+		}
+		sat := false
+		for _, l := range cl {
+			if planted[l.Var()] != l.Neg() {
+				sat = true
+			}
+		}
+		if !sat {
+			cl[0] = MkLit(cl[0].Var(), !planted[cl[0].Var()])
+		}
+		c.clause = append(c.clause, cl)
+	}
+	return c
+}
+
+// mustFaults builds an armed fault registry or fails the test.
+func mustFaults(t *testing.T, spec string) *failpoint.Registry {
+	t.Helper()
+	reg, err := failpoint.Parse(spec, 1)
+	if err != nil {
+		t.Fatalf("failpoint.Parse(%q): %v", spec, err)
+	}
+	return reg
+}
+
+// TestRecycleMatchesFreshSolver: a solver that has solved one formula
+// and been Recycled must behave exactly like a fresh solver on the
+// next formula — zeroed stats, same verdicts, including under
+// assumptions.
+func TestRecycleMatchesFreshSolver(t *testing.T) {
+	s := pigeonholeCNF(5, 4).solver()
+	if st, err := s.Solve(Options{}); err != nil || st != Unsat {
+		t.Fatalf("warm-up solve: %v %v", st, err)
+	}
+	s.Recycle()
+	if s.Stats != (Stats{}) {
+		t.Fatalf("Recycle left stats behind: %+v", s.Stats)
+	}
+
+	next := planted3SATCNF(3, 30, 120)
+	fresh := next.solver()
+	next.load(s)
+	for _, assume := range [][]Lit{nil, {lit(1)}, {lit(-1), lit(2)}} {
+		wantSt, wantErr := fresh.Solve(Options{}, assume...)
+		gotSt, gotErr := s.Solve(Options{}, assume...)
+		if gotSt != wantSt || gotErr != wantErr {
+			t.Fatalf("assume %v: recycled (%v, %v) vs fresh (%v, %v)",
+				assume, gotSt, gotErr, wantSt, wantErr)
+		}
+		if gotSt == Sat {
+			verifyModel(t, s, next.clause)
+		}
+	}
+}
+
+// TestSpuriousTimeoutFailpoint: the sat.spurious.timeout failpoint
+// turns a solvable query into an ErrBudget answer, the signal the
+// driver's retry ladder consumes.
+func TestSpuriousTimeoutFailpoint(t *testing.T) {
+	inst := planted3SATCNF(7, 30, 120)
+	s := inst.solver()
+	opts := Options{Faults: mustFaults(t, "sat.spurious.timeout=once")}
+	st, err := s.Solve(opts)
+	if st != Unknown || !errors.Is(err, ErrBudget) {
+		t.Fatalf("got %v %v, want Unknown ErrBudget", st, err)
+	}
+	// The failpoint was "once": the retry succeeds.
+	st, err = s.Solve(opts)
+	if err != nil || st != Sat {
+		t.Fatalf("retry got %v %v, want Sat <nil>", st, err)
+	}
 }
 
 // TestExpiredDeadlineReturnsBeforeSearch is the regression test for the

@@ -45,11 +45,10 @@ func (r Result) String() string {
 var ErrBudget = errors.New("smt: budget exhausted")
 
 // ErrInternal wraps failures that are not budget stories: panics inside
-// Check or Blast (malformed terms, solver bugs, injected faults) and
-// non-budget errors from the SAT layer (e.g. crashed portfolio
-// workers). The panic → error conversion happens here, at the package
-// boundary, so callers — ultimately the driver's retry ladder — can
-// classify the failure (quarantine, not retry) instead of crashing.
+// Check or Blast (malformed terms, solver bugs, injected faults). The
+// panic → error conversion happens here, at the package boundary, so
+// callers — ultimately the driver's retry ladder — can classify the
+// failure (quarantine, not retry) instead of crashing.
 var ErrInternal = errors.New("smt: internal error")
 
 // Options bound a Check call. Zero value = unlimited.
@@ -60,18 +59,6 @@ type Options struct {
 	// means the caller's deadline already expired: Check reports
 	// ErrBudget without running the SAT search.
 	Timeout time.Duration
-	// PortfolioWorkers, when > 1, routes the SAT search through a
-	// diversified portfolio (sat.Portfolio): a sequential probe runs
-	// first on the incremental solver, and only queries that exhaust the
-	// probe's conflict budget fan out to racing workers. The SAT/UNSAT
-	// verdict is unaffected; Sat models are re-validated against the
-	// blasted CNF before being decoded.
-	PortfolioWorkers int
-	// PortfolioSeed diversifies the workers' random streams.
-	PortfolioSeed int64
-	// PortfolioProbe overrides the sequential probe's conflict budget
-	// (0 = sat.DefaultProbeConflicts, negative = fan out immediately).
-	PortfolioProbe int64
 }
 
 // Stats accumulates query counts and solver effort.
@@ -133,7 +120,7 @@ type Solver struct {
 
 	// Faults, when non-nil, arms this layer's failpoints
 	// (smt.blast.deadline, smt.check.panic) and is forwarded to the
-	// SAT search and portfolio. Nil-safe like Obs.
+	// SAT search. Nil-safe like Obs.
 	Faults *failpoint.Registry
 
 	Stats Stats
@@ -303,19 +290,9 @@ func (s *Solver) Check(opts Options) (res Result, err error) {
 		so.Deadline = time.Now().Add(opts.Timeout)
 	}
 	start := time.Now()
-	var st sat.Status
-	if opts.PortfolioWorkers > 1 {
-		pf := &sat.Portfolio{
-			Workers:        opts.PortfolioWorkers,
-			ProbeConflicts: opts.PortfolioProbe,
-			Seed:           opts.PortfolioSeed,
-			Obs:            s.Obs,
-			Faults:         s.Faults,
-		}
-		st, err = pf.Solve(s.s, so, s.frames...)
-	} else {
-		st, err = s.s.Solve(so, s.frames...)
-	}
+	// The error is dropped: sat.ErrBudget, Solve's only error, comes
+	// with Unknown, which maps to ErrBudget below.
+	st, _ := s.s.Solve(so, s.frames...)
 	elapsed := time.Since(start)
 	s.Stats.SatTime += elapsed
 	s.Obs.Observe("smt.check.us", elapsed.Microseconds())
@@ -327,16 +304,7 @@ func (s *Solver) Check(opts Options) (res Result, err error) {
 	case sat.Unsat:
 		return Unsat, nil
 	}
-	if err != nil {
-		// Budget and cancellation keep their retryable classification;
-		// anything else (a crashed portfolio with no survivors) is an
-		// internal fault the caller should quarantine, not retry.
-		if errors.Is(err, sat.ErrBudget) || errors.Is(err, sat.ErrCanceled) {
-			return Unknown, ErrBudget
-		}
-		return Unknown, fmt.Errorf("%w: %v", ErrInternal, err)
-	}
-	return Unknown, nil
+	return Unknown, ErrBudget
 }
 
 // BlastStats reports the term-cache hit/miss counts of the underlying

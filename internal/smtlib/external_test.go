@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"selgen/internal/bv"
-	"selgen/internal/smt"
 )
 
 // corpusDir holds the committed QF_BV scripts; each filename ends in
@@ -42,21 +41,14 @@ func expectedVerdict(t *testing.T, path string) string {
 	return v
 }
 
-// runScript executes one corpus script with the given portfolio width
-// and returns the script context (for model extraction) and the
-// check-sat verdict lines in order.
-func runScript(t *testing.T, src string, workers int) (*Script, []string) {
+// runScript executes one corpus script and returns the script context
+// (for model extraction) and the check-sat verdict lines in order.
+func runScript(t *testing.T, src string) (*Script, []string) {
 	t.Helper()
 	s := NewScript()
-	s.Opts = smt.Options{PortfolioWorkers: workers}
-	if workers > 1 {
-		// Fan out immediately so the racing workers — not the sequential
-		// probe — actually decide the query.
-		s.Opts.PortfolioProbe = -1
-	}
 	var out strings.Builder
 	if err := s.Run(src, &out); err != nil {
-		t.Fatalf("running script (workers=%d): %v", workers, err)
+		t.Fatalf("running script: %v", err)
 	}
 	var verdicts []string
 	for _, line := range strings.Split(out.String(), "\n") {
@@ -108,7 +100,7 @@ func TestExternalCorpusVerdicts(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := expectedVerdict(t, path)
-			s, verdicts := runScript(t, string(src), 1)
+			s, verdicts := runScript(t, string(src))
 			if len(verdicts) == 0 {
 				t.Fatal("script produced no check-sat verdict")
 			}
@@ -119,33 +111,6 @@ func TestExternalCorpusVerdicts(t *testing.T) {
 			}
 			if want == "sat" {
 				checkModel(t, s, string(src))
-			}
-		})
-	}
-}
-
-// TestExternalCorpusPortfolioDifferential runs each script twice —
-// sequentially and through a 2-worker diversified portfolio (the
-// -sat-workers knob) — and requires identical verdict sequences.
-// Models may legitimately differ between solver configurations, so a
-// sat run's model is checked against the asserts rather than compared
-// byte-for-byte.
-func TestExternalCorpusPortfolioDifferential(t *testing.T) {
-	for _, path := range corpusFiles(t) {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			t.Parallel()
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, seq := runScript(t, string(src), 1)
-			s2, par := runScript(t, string(src), 2)
-			if strings.Join(seq, ",") != strings.Join(par, ",") {
-				t.Fatalf("portfolio changed the verdict: sequential %v, 2 workers %v", seq, par)
-			}
-			if expectedVerdict(t, path) == "sat" {
-				checkModel(t, s2, string(src))
 			}
 		})
 	}

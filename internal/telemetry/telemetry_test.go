@@ -240,7 +240,7 @@ func TestGoalsReflectsFaultInjectedRun(t *testing.T) {
 }
 
 // TestServerCloseSettles: repeated start/scrape/close cycles leave no
-// goroutines behind (same settle discipline as the SAT portfolio).
+// goroutines behind.
 func TestServerCloseSettles(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 4; round++ {

@@ -20,12 +20,12 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 # Fail-fast race pass over the solver stack and the selector: the
-# portfolio tests spawn racing workers with a shared stop flag and
-# clause exchange, the fault-injection tests panic inside those
-# workers, and the isel tests drive one compiled Selector from several
-# goroutines — so these packages are where a data race would surface
-# first (obs joins them: the telemetry scraper snapshots the registry
-# while synthesis goroutines write it). The driver's synthesis tests
+# driver runs goals on parallel goroutines that share one tracer and
+# fault registry, the isel tests drive one compiled Selector from
+# several goroutines, and the farm coordinates worker goroutines over
+# HTTP — so these packages are where a data race would surface first
+# (obs joins them: the telemetry scraper snapshots the registry while
+# synthesis goroutines write it). The driver's synthesis tests
 # run well past go test's default 10m timeout under the race detector,
 # so this pass needs the same widened timeout as the full suite below.
 go test -race -timeout 60m ./internal/sat ./internal/smt ./internal/cegis ./internal/driver \
@@ -58,21 +58,28 @@ go run scripts/validateiselbench.go "$benchdir/BENCH_isel.json"
 
 # -trace smoke test: a quick-setup run must emit a well-formed Chrome
 # trace (parses, has goal/multiset/synth/verify spans, spans nest).
-# -sat-workers 2 routes verification through the SAT portfolio so any
-# sat.portfolio.worker spans land on their own trace TIDs and must
-# still nest cleanly.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir" "$benchdir"' EXIT
-go run ./cmd/selgen -setup quick -timeout 2m -sat-workers 2 \
+go run ./cmd/selgen -setup quick -timeout 2m \
 	-o "$tmpdir/quick.json" -trace "$tmpdir/trace.json" >/dev/null
 go run scripts/validatetrace.go "$tmpdir/trace.json"
+
+# -sat-workers is a compatibility stub: the SAT search is sequential,
+# so more than one worker is a usage error (exit 2) before any goal
+# starts.
+go build -o "$tmpdir/selgen" ./cmd/selgen
+rc=0
+"$tmpdir/selgen" -setup quick -sat-workers 2 -o "$tmpdir/stub.json" >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+	echo "ci.sh: selgen -sat-workers 2 exited $rc, want 2" >&2
+	exit 1
+fi
 
 # Kill-and-resume smoke test: SIGKILL selgen mid-run (the journal.kill
 # failpoint delivers an uncatchable kill right after the 2nd goal
 # record is fsync'd — deterministic, unlike timing an external kill -9
 # against a ~100ms run), then resume from the journal. The resumed
 # library must be byte-identical to an uninterrupted run's.
-go build -o "$tmpdir/selgen" ./cmd/selgen
 if "$tmpdir/selgen" -setup quick -timeout 2m -journal "$tmpdir/kill.journal" \
 	-o "$tmpdir/killed.json" -faults journal.kill=hit:2 >/dev/null 2>&1; then
 	echo "ci.sh: journal.kill failpoint did not kill the run" >&2
@@ -132,14 +139,14 @@ cmp "$tmpdir/uninterrupted.json" testdata/goldens/quick_x86.json || {
 }
 
 # External-oracle smoke: every committed QF_BV script must produce the
-# verdict its filename promises through the standalone solver CLI, with
-# the SAT portfolio engaged (the in-process differential against the
-# sequential solver lives in internal/smtlib's external test).
+# verdict its filename promises through the standalone solver CLI (the
+# in-process check, models included, lives in internal/smtlib's
+# external test).
 go build -o "$tmpdir/bvsat" ./cmd/bvsat
 for f in testdata/smtlib/*.smt2; do
 	want="${f##*_}"
 	want="${want%.smt2}"
-	got="$("$tmpdir/bvsat" -sat-workers 2 "$f" | head -n 1)"
+	got="$("$tmpdir/bvsat" "$f" | head -n 1)"
 	if [ "$got" != "$want" ]; then
 		echo "ci.sh: $f: bvsat said '$got', filename promises '$want'" >&2
 		exit 1
