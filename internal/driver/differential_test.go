@@ -8,6 +8,7 @@ import (
 	"selgen/internal/isel"
 	"selgen/internal/pattern"
 	"selgen/internal/spec"
+	"selgen/internal/target"
 	"selgen/internal/x86"
 )
 
@@ -85,53 +86,49 @@ func TestDifferentialSynthesizedLibraries(t *testing.T) {
 	assertSelectorsAgree(t, "trimmed-full", full)
 }
 
-// TestIselBenchScalesSublinearly runs the selection-scaling benchmark
-// once (single rep — this is a correctness gate on the shape of the
-// curve, not a timing assertion) and checks that rules tried per node
-// stays flat as padding grows the library 100×, while the linear
-// scan's effort grows with it.
+// TestIselBenchScalesSublinearly selects the Table 1 suite with the
+// handwritten library padded to 100 and 1000 rules, once through the
+// index and once by linear scan, and checks the shape of the effort
+// curve in counts alone: rules tried per real IR node stay flat as the
+// library grows 10×, while the linear scan's grow with it.
 func TestIselBenchScalesSublinearly(t *testing.T) {
-	b, err := RunIselBench(nil, 8, 7, nil, nil, 1)
-	if err != nil {
-		t.Fatalf("RunIselBench: %v", err)
-	}
-	// The per-node denominator is the suite's real IR node count, the
-	// same for every library.
+	graphs := table1Suite(7)
 	realNodes := 0
-	for _, g := range table1Suite(7) {
+	for _, g := range graphs {
 		realNodes += g.NumRealNodes()
 	}
-	if b.Nodes != int64(realNodes) {
-		t.Fatalf("nodes: %d, want the suite's %d real IR nodes", b.Nodes, realNodes)
+	// triedPerNode returns the compiled rule count of the library padded
+	// to n rules and the rules it tries per real IR node of the suite.
+	triedPerNode := func(n int, linear bool) (int, float64) {
+		sel := target.X86().NewSelector(isel.PadLibrary(isel.HandwrittenLibrary(8), 8, n), true)
+		sel.Linear = linear
+		for _, g := range graphs {
+			if _, _, err := sel.Select(g); err != nil {
+				t.Fatalf("pad:%d linear=%v: %s: %v", n, linear, g.Name, err)
+			}
+		}
+		return sel.Compiled.NumRules(), float64(sel.Stats().RulesTried) / float64(realNodes)
 	}
-	if len(b.Points) != len(selBenchSizes) {
-		t.Fatalf("points: %d", len(b.Points))
-	}
-	byName := map[string]IselBenchPoint{}
-	for _, p := range b.Points {
-		byName[p.Name] = p
-	}
-	p100, p1000 := byName["hand+pad:100"], byName["hand+pad:1000"]
-	if p1000.CompiledRules <= p100.CompiledRules {
-		t.Fatalf("padding did not grow the compiled library: %d vs %d",
-			p100.CompiledRules, p1000.CompiledRules)
+	rules100, idx100 := triedPerNode(100, false)
+	_, lin100 := triedPerNode(100, true)
+	rules1000, idx1000 := triedPerNode(1000, false)
+	_, lin1000 := triedPerNode(1000, true)
+	t.Logf("rules tried per real node, 100 -> 1000 rules: index %.2f -> %.2f, linear %.1f -> %.1f",
+		idx100, idx1000, lin100, lin1000)
+	if rules1000 <= rules100 {
+		t.Fatalf("padding did not grow the compiled library: %d vs %d", rules100, rules1000)
 	}
 	// Sublinear: both points contain the whole handwritten library plus
 	// never-retrieved padding, so a 10× library must leave the match
 	// attempts per node essentially flat (the padding differs only in
 	// trie keys the workload never produces).
-	if p1000.RulesPerNode > 2*p100.RulesPerNode+1 {
+	if idx1000 > 2*idx100+1 {
 		t.Fatalf("indexed rules tried/node grew with library size: %.2f at 100 rules, %.2f at 1000",
-			p100.RulesPerNode, p1000.RulesPerNode)
+			idx100, idx1000)
 	}
 	// The linear oracle must show the growth the index avoids.
-	if p1000.LinearRulesPerNode < 10*p1000.RulesPerNode {
+	if lin1000 < 10*idx1000 {
 		t.Fatalf("linear scan should try far more rules than the index at 1000 rules: %.2f vs %.2f",
-			p1000.LinearRulesPerNode, p1000.RulesPerNode)
-	}
-	for _, p := range b.Points {
-		if p.NsPerNode <= 0 || p.LinearNsPerNode <= 0 || p.VsHandwritten <= 0 {
-			t.Fatalf("non-positive timing in %+v", p)
-		}
+			lin1000, idx1000)
 	}
 }

@@ -61,9 +61,10 @@ func SelectionCheck(lib *pattern.Library, tgt *target.Target, width int, seed in
 		}
 	}
 	rep.Effort = SelEffort{
-		Rules: sel.Compiled.NumRules(),
-		Stats: sel.Stats(),
-		Time:  time.Since(start),
+		Rules:     sel.Compiled.NumRules(),
+		RealNodes: rep.Coverage.Total,
+		Stats:     sel.Stats(),
+		Time:      time.Since(start),
 	}
 	return rep, nil
 }
@@ -73,14 +74,6 @@ func (r *SelectionReport) Write(w io.Writer) {
 	fmt.Fprintf(w, "selection check: %.2f%% coverage (%d covered, %d fallback of %d ops); %.1f mean cycles/graph; %d rules compiled, %.2f rules tried/node, %.2f trie visits/node, %s\n",
 		100*r.Coverage.Ratio(), r.Coverage.Covered, r.Coverage.Fallback, r.Coverage.Total,
 		r.MeanCycles(),
-		r.Effort.Rules, r.Effort.RulesTriedPerNode(),
-		float64(r.Effort.Stats.TrieVisits)/float64(max64(r.Effort.Stats.Nodes, 1)),
+		r.Effort.Rules, r.Effort.RulesTriedPerNode(), r.Effort.TrieVisitsPerNode(),
 		r.Effort.Time.Round(time.Millisecond))
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,19 +30,34 @@ type Table1Row struct {
 type SelEffort struct {
 	// Rules is the compiled (commutatively expanded) rule count.
 	Rules int
+	// RealNodes is the workload's real IR node count (Σ
+	// firm.Graph.NumRealNodes), the denominator of the per-node
+	// figures. It is the same for every library; Stats.Nodes counts
+	// only the nodes that reach the matcher, so it is not.
+	RealNodes int
 	// Stats are the cumulative selection counters.
 	Stats isel.SelStats
 	// Time is total wall time spent inside Select.
 	Time time.Duration
 }
 
-// RulesTriedPerNode is the mean number of full match attempts per
-// selected graph node — the metric that must stay sublinear in Rules.
+// RulesTriedPerNode is the mean number of full match attempts per real
+// IR node — the metric that must stay sublinear in Rules.
 func (e SelEffort) RulesTriedPerNode() float64 {
-	if e.Stats.Nodes == 0 {
+	return e.perNode(e.Stats.RulesTried)
+}
+
+// TrieVisitsPerNode is the mean number of trie nodes visited per real
+// IR node.
+func (e SelEffort) TrieVisitsPerNode() float64 {
+	return e.perNode(e.Stats.TrieVisits)
+}
+
+func (e SelEffort) perNode(n int64) float64 {
+	if e.RealNodes == 0 {
 		return 0
 	}
-	return float64(e.Stats.RulesTried) / float64(e.Stats.Nodes)
+	return float64(n) / float64(e.RealNodes)
 }
 
 // Table1 is the whole experiment result.
@@ -93,11 +108,13 @@ func RunTable1(tgt *target.Target, width int, seed int64, basicLib, fullLib *pat
 	t := &Table1{}
 	sumLogCov, sumLogBasic, sumLogFull := 0.0, 0.0, 0.0
 	selTime := map[string]time.Duration{}
+	realNodes := 0
 	for _, prof := range spec.Profiles() {
 		graphs := spec.Generate(prof, width, ops, seed)
 		cycles := map[string]float64{}
 		var fullCov isel.Coverage
 		for _, g := range graphs {
+			realNodes += g.NumRealNodes()
 			params, mems := spec.Inputs(g, seed, 1)
 			ref, err := g.Exec(params[0], mems[0])
 			if err != nil {
@@ -151,9 +168,10 @@ func RunTable1(tgt *target.Target, width int, seed int64, basicLib, fullLib *pat
 	t.Sel = map[string]SelEffort{}
 	for _, se := range sels {
 		t.Sel[se.name] = SelEffort{
-			Rules: se.sel.Compiled.NumRules(),
-			Stats: se.sel.Stats(),
-			Time:  selTime[se.name],
+			Rules:     se.sel.Compiled.NumRules(),
+			RealNodes: realNodes,
+			Stats:     se.sel.Stats(),
+			Time:      selTime[se.name],
 		}
 	}
 	return t, nil
@@ -175,12 +193,11 @@ func (t *Table1) Write(w io.Writer) {
 		t.CompileBasic, t.CompileFull)
 	for _, name := range []string{"hand", "basic", "full"} {
 		e, ok := t.Sel[name]
-		if !ok || e.Stats.Nodes == 0 {
+		if !ok {
 			continue
 		}
 		fmt.Fprintf(w, "selection effort %-5s: %5d rules, %.2f rules tried/node, %.2f trie visits/node, %d matches, %d fallbacks\n",
-			name, e.Rules, e.RulesTriedPerNode(),
-			float64(e.Stats.TrieVisits)/float64(e.Stats.Nodes),
+			name, e.Rules, e.RulesTriedPerNode(), e.TrieVisitsPerNode(),
 			e.Stats.Matches, e.Stats.Fallbacks)
 	}
 }

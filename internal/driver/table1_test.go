@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selgen/internal/isel"
+	"selgen/internal/target"
 )
 
 // TestRunTable1WithHandwrittenLibraries exercises the full Table-1
@@ -66,5 +67,34 @@ func TestRunTable1EmptyVsHandwritten(t *testing.T) {
 	}
 	if tab.GeoMeanBasic <= 1.0 {
 		t.Fatalf("geometric mean of fallback-only must exceed 1: %f", tab.GeoMeanBasic)
+	}
+}
+
+// TestSelectionEffortPerRealNode checks the denominator of the
+// per-node effort figures: the workload's real IR nodes (Σ
+// NumRealNodes), which do not depend on the library, rather than the
+// nodes that reached the matcher, which do. SelectionCheck and the
+// Table 1 run must agree on the same library and suite.
+func TestSelectionEffortPerRealNode(t *testing.T) {
+	hand := target.X86().Handwritten(8)
+	rep, err := SelectionCheck(hand, nil, 8, 99, nil)
+	if err != nil {
+		t.Fatalf("SelectionCheck: %v", err)
+	}
+	realNodes := 0
+	for _, g := range table1Suite(99) {
+		realNodes += g.NumRealNodes()
+	}
+	e := rep.Effort
+	if got, want := e.RulesTriedPerNode(), float64(e.Stats.RulesTried)/float64(realNodes); got != want {
+		t.Fatalf("rules tried/node %.4f, want %d tried / %d real IR nodes = %.4f",
+			got, e.Stats.RulesTried, realNodes, want)
+	}
+	tab, err := RunTable1(nil, 8, 99, hand, hand, nil)
+	if err != nil {
+		t.Fatalf("RunTable1: %v", err)
+	}
+	if got := tab.Sel["hand"].RulesTriedPerNode(); got != e.RulesTriedPerNode() {
+		t.Fatalf("Table 1 hand: %.4f rules tried/node, SelectionCheck %.4f", got, e.RulesTriedPerNode())
 	}
 }
