@@ -117,37 +117,34 @@ func TestSelectionPinned(t *testing.T) {
 	}
 }
 
-// maxSelectAllocsPerNode bounds a warm selection pass's heap
-// allocations per real IR node: the returned programs (instructions,
-// their operand array, Imms maps) come to 0.40–0.62 with the pinned
-// libraries; the map-based selector this kernel replaced made 11.8.
-const maxSelectAllocsPerNode = 0.7
+// maxSelectAllocsPerGraph bounds a warm selection pass's heap
+// allocations per selected graph. The returned program takes four: the
+// Program, its instructions, one array for every operand, result and
+// returned value, and one for the immediates (none in a graph without
+// one). The pinned libraries read 4.00; a map per instruction with an
+// immediate would take them to 25–38.
+const maxSelectAllocsPerGraph = 5
 
 // TestSelectAllocs guards the selection kernel against allocation
 // creep: a warm pass over the Table 1 suite may allocate at most
-// maxSelectAllocsPerNode times per real IR node with any pinned
-// library.
+// maxSelectAllocsPerGraph times per graph with any pinned library.
 func TestSelectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	graphs := table1Suite(1)
-	nodes := 0
-	for _, g := range graphs {
-		nodes += g.NumRealNodes()
-	}
 	for _, pl := range pinnedLibraries(t) {
 		sel := pl.tgt.NewSelector(pl.lib, true)
-		perNode := testing.AllocsPerRun(3, func() {
+		perGraph := testing.AllocsPerRun(3, func() {
 			for _, g := range graphs {
 				if _, _, err := sel.Select(g); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}) / float64(nodes)
-		t.Logf("%s: %.2f allocations per node", pl.name, perNode)
-		if perNode > maxSelectAllocsPerNode {
-			t.Errorf("%s: %.2f allocations per node, bound %.2f", pl.name, perNode, maxSelectAllocsPerNode)
+		}) / float64(len(graphs))
+		t.Logf("%s: %.2f allocations per graph", pl.name, perGraph)
+		if perGraph > maxSelectAllocsPerGraph {
+			t.Errorf("%s: %.2f allocations per graph, bound %d", pl.name, perGraph, maxSelectAllocsPerGraph)
 		}
 	}
 }

@@ -2,11 +2,13 @@ package isel
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"selgen/internal/firm"
 	"selgen/internal/ir"
+	"selgen/internal/mach"
 	"selgen/internal/pattern"
 	"selgen/internal/sem"
 	"selgen/internal/spec"
@@ -224,6 +226,58 @@ func TestConcurrentSelect(t *testing.T) {
 	if st.Nodes == 0 || st.Matches == 0 {
 		t.Fatalf("shared selector recorded no work: %+v", st)
 	}
+}
+
+// TestReturnedProgramsStayIndependent keeps the first selected program
+// that has an immediate, with its rendering, then selects the rest of
+// the workload and the same graph again with the same Selector. The
+// kept program must render as before: no program may share its
+// operand, result or immediate arrays with the Selector's pooled state
+// or with a later program. A warm-up pass first grows any per-call
+// buffer to its largest, so a program that aliased one would be
+// overwritten by the very next selection.
+func TestReturnedProgramsStayIndependent(t *testing.T) {
+	graphs := workloadGraphs(t)
+	sel := New(HandwrittenLibrary(w), x86.Registry(), true)
+	selectOne := func(g *firm.Graph) *mach.Program {
+		t.Helper()
+		p, _, err := sel.Select(g)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		return p
+	}
+	for _, g := range graphs {
+		selectOne(g)
+	}
+	kept := -1
+	var prog *mach.Program
+	for i, g := range graphs {
+		if p := selectOne(g); slices.ContainsFunc(p.Instrs, func(in mach.Instr) bool { return len(in.Imms) > 0 }) {
+			kept, prog = i, p
+			break
+		}
+	}
+	if prog == nil {
+		t.Fatal("no selected program has an immediate")
+	}
+	want := prog.String()
+	check := func(after string) {
+		t.Helper()
+		if got := prog.String(); got != want {
+			t.Fatalf("%s: the kept program changed after %s:\n%s\nwas:\n%s", graphs[kept].Name, after, got, want)
+		}
+	}
+	for _, g := range graphs[kept+1:] {
+		selectOne(g)
+	}
+	// Checked before the graph is selected again: an aliased array
+	// would get the kept program's own values back from that selection.
+	check("selecting the rest of the workload")
+	if again := selectOne(graphs[kept]).String(); again != want {
+		t.Fatalf("%s: selecting the graph again gave\n%s\nfirst selection:\n%s", graphs[kept].Name, again, want)
+	}
+	check("selecting the graph again")
 }
 
 // TestNewLeavesCallerLibraryUntouched pins the satellite fix: New must

@@ -5,6 +5,7 @@ import (
 
 	"selgen/internal/firm"
 	"selgen/internal/ir"
+	"selgen/internal/pattern"
 	"selgen/internal/sem"
 	"selgen/internal/x86"
 )
@@ -36,7 +37,7 @@ func TestHandwrittenLibraryResolves(t *testing.T) {
 }
 
 func TestFallbackGoalsResolve(t *testing.T) {
-	sel := &Selector{Goals: x86.Registry()}
+	sel := New(&pattern.Library{Width: 8}, x86.Registry(), true)
 	g := firm.NewGraph("f", 8, ir.Ops())
 	x := g.Param(sem.KindValue)
 	y := g.Param(sem.KindValue)
@@ -52,20 +53,17 @@ func TestFallbackGoalsResolve(t *testing.T) {
 	for rel := 0; rel < ir.NumRelations; rel++ {
 		nodes = append(nodes, g.NewI("Cmp", []uint64{uint64(rel)}, x, y))
 	}
-	for _, n := range nodes {
-		if sel.fallbackGoal(n) == nil {
-			t.Errorf("no fallback for %s", n.Op)
-		}
-	}
 	// Store and Mux need nodes of the right kinds.
 	st := g.New("Store", m, x, y)
-	if sel.fallbackGoal(st) == nil {
-		t.Errorf("no fallback for Store")
-	}
 	c := g.NewI("Cmp", []uint64{0}, x, y)
 	mux := g.New("Mux", c, x, y)
-	if sel.fallbackGoal(mux) == nil {
-		t.Errorf("no fallback for Mux")
+	nodes = append(nodes, st, mux)
+	var sc selection
+	sc.reset(sel, g)
+	for _, n := range nodes {
+		if sc.fallbackGoal(n) == nil {
+			t.Errorf("no fallback for %s", n)
+		}
 	}
 }
 

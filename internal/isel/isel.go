@@ -131,14 +131,18 @@ func (s *Selector) Stats() SelStats {
 // match is one decided rule application.
 type match struct {
 	cr *pattern.CompiledRule
-	// nodeMap maps pattern node index → graph node.
-	nodeMap []*firm.Node
-	// argBind maps pattern argument index → graph ref feeding it (Node
-	// nil when the pattern never references the argument). An
+	// nodeMap maps pattern node index → graph node ID.
+	nodeMap []int32
+	// argBind maps pattern argument index → graph ref feeding it (node
+	// -1 when the pattern never references the argument). An
 	// immediate argument binds a Const node, whose value the
 	// instruction encodes.
-	argBind []firm.Ref
+	argBind []binding
 }
+
+// binding is a graph ref as plain integers: the ID of its node (-1 for
+// none) and its result.
+type binding struct{ node, res int32 }
 
 // decision classifies what happens to each graph node.
 type decision uint8
@@ -156,12 +160,26 @@ const (
 // allocates only the program it returns. A state serves one call at a
 // time, and the program never aliases it.
 type selection struct {
-	s  *Selector
-	c  *pattern.CompiledLibrary
-	g  *firm.Graph
-	st SelStats
-	// operands estimates the program's operand and result count.
-	operands int
+	s *Selector
+	c *pattern.CompiledLibrary
+	g *firm.Graph
+	// nodes is g.Nodes(), indexed by the node IDs the maps hold.
+	nodes []*firm.Node
+	st    SelStats
+	// operands and imms count the program's operands and results, and
+	// its immediates.
+	operands, imms int
+
+	// The op set of the last graph and what selection needs of each
+	// of its operations, resolved once per op set (a suite's graphs
+	// share one) and kept while the next graph has the same one: the
+	// op's pattern.OpID and fallback goal, the index of Cmp, whose
+	// goal depends on its relation, and the relation → goal table.
+	ops   []*sem.Instr
+	opIDs []pattern.OpID
+	opFB  []*sem.Instr
+	cmpOp int
+	cmpFB []*sem.Instr
 
 	// tok[id] is node id's trie token (pattern.CompiledLibrary.NodeToken).
 	tok []pattern.Token
@@ -174,30 +192,32 @@ type selection struct {
 	rooted  []int32
 	matches []match
 	// nodeArena and argArena back the decided matches' maps.
-	nodeArena []*firm.Node
-	argArena  []firm.Ref
+	nodeArena []int32
+	argArena  []binding
 
 	// The attempt in progress: its rule, root, and maps.
 	cr      *pattern.CompiledRule
 	root    *firm.Node
-	nodeMap []*firm.Node
-	argBind []firm.Ref
+	nodeMap []int32
+	argBind []binding
 
 	feeders []pattern.Token
 	cand    []int
 
 	// Emission: the program, the machine value of each emitted graph
-	// ref (-1 until emitted), and the array every instruction's operand
-	// and result slices are carved from.
+	// ref (-1 until emitted), and the two arrays the program's slices
+	// are carved from: one for every instruction's operands and
+	// results and the returned values, one for the immediates.
 	prog   *mach.Program
 	vals   []mach.Value
 	valBuf []mach.Value
+	immBuf []mach.Imm
 }
 
 // reset readies x for selecting g with s.
 func (x *selection) reset(s *Selector, g *firm.Graph) {
 	nodes := g.Nodes()
-	x.s, x.c, x.g, x.st, x.operands = s, s.Compiled, g, SelStats{}, 0
+	x.s, x.c, x.g, x.nodes, x.st, x.operands, x.imms = s, s.Compiled, g, nodes, SelStats{}, 0, 0
 	x.tok = sized(x.tok, len(nodes))
 	x.dec = sized(x.dec, len(nodes))
 	x.needed = sized(x.needed, len(nodes))
@@ -205,16 +225,13 @@ func (x *selection) reset(s *Selector, g *firm.Graph) {
 	x.rooted = sized(x.rooted, len(nodes))
 	x.vals = sized(x.vals, g.NumRefs())
 
-	// Op ids are resolved per operation of the graph's set, not per node.
-	var idBuf [32]pattern.OpID
-	ids := idBuf[:0]
-	for _, o := range g.Ops() {
-		ids = append(ids, x.c.OpID(o.Name))
+	if ops := g.Ops(); !slices.Equal(x.ops, ops) {
+		x.resolveOps(ops)
 	}
 	for _, n := range nodes {
 		op := pattern.NoOp
 		if !n.IsPseudo() {
-			op = ids[n.OpIndex()]
+			op = x.opIDs[n.OpIndex()]
 		}
 		x.tok[n.ID] = x.c.NodeToken(op, n.Internals)
 	}
@@ -224,16 +241,54 @@ func (x *selection) reset(s *Selector, g *firm.Graph) {
 	}
 }
 
+// resolveOps resolves the OpID and the fallback goal of each operation
+// of ops, and the Cmp relation → goal table.
+func (x *selection) resolveOps(ops []*sem.Instr) {
+	fb := x.s.FB
+	if fb == nil {
+		fb = x86Fallback
+	}
+	x.ops = append(x.ops[:0], ops...)
+	x.opIDs, x.opFB, x.cmpOp = x.opIDs[:0], x.opFB[:0], -1
+	for i, o := range ops {
+		x.opIDs = append(x.opIDs, x.c.OpID(o.Name))
+		var goal *sem.Instr
+		if name, ok := fb.Direct[o.Name]; ok {
+			goal = x.s.Goals[name]
+		} else if o.Name == "Cmp" {
+			x.cmpOp = i
+		} else if o.Name == "Const" {
+			goal = x.s.Goals[fb.Const]
+		}
+		x.opFB = append(x.opFB, goal)
+	}
+	x.cmpFB = x.cmpFB[:0]
+	for rel := 0; rel < ir.NumRelations; rel++ {
+		x.cmpFB = append(x.cmpFB, x.s.Goals[fb.Cmp[rel]])
+	}
+}
+
+// fallbackGoal maps an IR node to a single machine instruction using
+// the goals resolveOps found for its operation, or nil.
+func (x *selection) fallbackGoal(n *firm.Node) *sem.Instr {
+	oi := n.OpIndex()
+	if oi != x.cmpOp {
+		return x.opFB[oi]
+	}
+	if rel := n.Internals[0]; rel < uint64(len(x.cmpFB)) {
+		return x.cmpFB[rel]
+	}
+	return nil
+}
+
 // release drops x's references into the graph, the library and the
-// program, so a pooled state keeps none of them alive.
+// program, so a pooled state keeps none of them alive. The resolved op
+// set stays for the next call; it pins only the operations and goals
+// it names.
 func (x *selection) release() {
 	clear(x.matches)
-	clear(x.nodeArena)
-	clear(x.argArena)
-	clear(x.nodeMap)
-	clear(x.argBind)
 	x.matches, x.nodeArena, x.argArena = x.matches[:0], x.nodeArena[:0], x.argArena[:0]
-	x.s, x.c, x.g, x.cr, x.root, x.prog, x.valBuf = nil, nil, nil, nil, nil, nil, nil
+	x.s, x.c, x.g, x.nodes, x.cr, x.root, x.prog, x.valBuf, x.immBuf = nil, nil, nil, nil, nil, nil, nil, nil, nil
 }
 
 // Select translates one graph. Without fallback it fails when a live
@@ -292,15 +347,18 @@ func (x *selection) decide() {
 			x.dec[n.ID] = decRoot
 			x.operands += len(cr.Rule.Pattern.ArgKinds) + len(cr.Goal.Results)
 			m := x.keep(cr)
-			for _, gn := range m.nodeMap {
-				if gn != n && !isShareable(gn.Op) {
-					x.dec[gn.ID] = decInterior
+			for _, id := range m.nodeMap {
+				if int(id) != n.ID && !isShareable(x.nodes[id].Op) {
+					x.dec[id] = decInterior
 				}
 			}
-			for ai, ref := range m.argBind {
-				// An immediate is encoded in the instruction.
-				if ref.Node != nil && cr.Rule.Pattern.ArgKinds[ai] != sem.KindImm {
-					x.needed[ref.Node.ID] = true
+			for ai, b := range m.argBind {
+				// An immediate, or an argument the pattern never
+				// references, is encoded in the instruction.
+				if b.node < 0 || cr.Rule.Pattern.ArgKinds[ai] == sem.KindImm {
+					x.imms++
+				} else {
+					x.needed[b.node] = true
 				}
 			}
 			continue
@@ -310,6 +368,9 @@ func (x *selection) decide() {
 		// One operand per IR argument (a Const's immediate for Const),
 		// one result per IR result.
 		x.operands += max(len(n.Args), 1) + n.NumResults()
+		if n.Op == "Const" {
+			x.imms++
+		}
 		// Fallback encodes Const internals directly; other args are
 		// register operands.
 		for _, a := range n.Args {
@@ -376,6 +437,19 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
+// filled returns s resliced to n elements set to v, reallocating only
+// when its capacity is short.
+func filled[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
 // tryMatch attempts to match the rule's pattern with its primary
 // result rooted at graph node n, leaving the maps in x.nodeMap and
 // x.argBind. It allocates nothing once the scratch maps have grown to
@@ -388,26 +462,27 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 	}
 	p := &cr.Rule.Pattern
 	x.cr, x.root = cr, n
-	x.nodeMap = sized(x.nodeMap, len(p.Nodes))
-	x.argBind = sized(x.argBind, len(p.ArgKinds))
+	x.nodeMap = filled(x.nodeMap, len(p.Nodes), -1)
+	x.argBind = filled(x.argBind, len(p.ArgKinds), binding{node: -1})
 	if !x.matchNode(cr.Root, n) {
 		return false
 	}
-	for _, gn := range x.nodeMap {
-		if gn == nil {
+	for _, id := range x.nodeMap {
+		if id < 0 {
 			return false // unmatched pattern node (dead node in pattern)
 		}
 	}
 
 	// Non-overlap check: every matched node's results may only be used
 	// inside the match or exposed as a pattern result.
-	for _, gn := range x.nodeMap {
+	for _, id := range x.nodeMap {
+		gn := x.nodes[id]
 		if isShareable(gn.Op) {
 			continue
 		}
 		hidden := false
 		for rr := 0; rr < gn.NumResults(); rr++ {
-			if x.exposed(gn, rr) {
+			if x.exposed(id, rr) {
 				continue
 			}
 			if x.retained[firm.Ref{Node: gn, Result: rr}.Index()] {
@@ -423,11 +498,11 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 	// Argument bindings must come from outside the match (or from a
 	// shareable node, or an exposed result): an operand produced by a
 	// swallowed interior value would have no register to live in.
-	for _, ref := range x.argBind {
-		if ref.Node == nil || !slices.Contains(x.nodeMap, ref.Node) {
+	for _, b := range x.argBind {
+		if b.node < 0 || !slices.Contains(x.nodeMap, b.node) {
 			continue
 		}
-		if isShareable(ref.Node.Op) || x.exposed(ref.Node, ref.Result) {
+		if isShareable(x.nodes[b.node].Op) || x.exposed(b.node, int(b.res)) {
 			continue
 		}
 		return false
@@ -435,8 +510,8 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 
 	// The root must be the last matched node so its operands are all
 	// emitted before the instruction.
-	for _, gn := range x.nodeMap {
-		if gn.ID > n.ID {
+	for _, id := range x.nodeMap {
+		if int(id) > n.ID {
 			return false
 		}
 	}
@@ -445,8 +520,8 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 
 // matchNode matches pattern node pi against graph node gn.
 func (x *selection) matchNode(pi int, gn *firm.Node) bool {
-	if m := x.nodeMap[pi]; m != nil {
-		return m == gn
+	if id := x.nodeMap[pi]; id >= 0 {
+		return int(id) == gn.ID
 	}
 	// Equal tokens mean equal op and internals; pseudo nodes match no
 	// pattern node.
@@ -458,7 +533,7 @@ func (x *selection) matchNode(pi int, gn *firm.Node) bool {
 	if gn != x.root && x.dec[gn.ID] != decDead {
 		return false
 	}
-	x.nodeMap[pi] = gn
+	x.nodeMap[pi] = int32(gn.ID)
 	for i, pa := range x.cr.Rule.Pattern.Nodes[pi].Args {
 		if !x.matchRef(pa, firm.Ref{Node: gn.Args[i], Result: gn.ArgResult(i)}) {
 			return false
@@ -472,8 +547,8 @@ func (x *selection) matchRef(pr pattern.ValueRef, gr firm.Ref) bool {
 	if pr.Kind != pattern.RefArg {
 		return gr.Result == pr.Result && x.matchNode(pr.Index, gr.Node)
 	}
-	if b := x.argBind[pr.Index]; b.Node != nil {
-		return b == gr
+	if b := x.argBind[pr.Index]; b.node >= 0 {
+		return int(b.node) == gr.Node.ID && int(b.res) == gr.Result
 	}
 	if x.cr.Rule.Pattern.ArgKinds[pr.Index] == sem.KindImm {
 		// Immediate operands must match compile-time constants that the
@@ -488,15 +563,15 @@ func (x *selection) matchRef(pr pattern.ValueRef, gr firm.Ref) bool {
 			return false
 		}
 	}
-	x.argBind[pr.Index] = gr
+	x.argBind[pr.Index] = binding{int32(gr.Node.ID), int32(gr.Result)}
 	return true
 }
 
-// exposed reports whether result r of matched node gn is a result of
+// exposed reports whether result r of matched node id is a result of
 // the attempted pattern.
-func (x *selection) exposed(gn *firm.Node, r int) bool {
+func (x *selection) exposed(id int32, r int) bool {
 	for _, res := range x.cr.Rule.Pattern.Results {
-		if res.Kind == pattern.RefNode && res.Result == r && x.nodeMap[res.Index] == gn {
+		if res.Kind == pattern.RefNode && res.Result == r && x.nodeMap[res.Index] == id {
 			return true
 		}
 	}
@@ -507,11 +582,11 @@ func (x *selection) exposed(gn *firm.Node, r int) bool {
 // counted once, however many pattern nodes map to it) that read gn.
 func (x *selection) usesInMatch(gn *firm.Node) int {
 	uses := 0
-	for pi, u := range x.nodeMap {
-		if slices.Contains(x.nodeMap[:pi], u) {
+	for pi, id := range x.nodeMap {
+		if slices.Contains(x.nodeMap[:pi], id) {
 			continue
 		}
-		for _, a := range u.Args {
+		for _, a := range x.nodes[id].Args {
 			if a == gn {
 				uses++
 			}
@@ -531,7 +606,8 @@ func (x *selection) emit() (*mach.Program, Coverage, error) {
 	}
 	x.prog = mach.NewProgram(g.Name, g.Width, len(g.Params()))
 	x.prog.Instrs = make([]mach.Instr, 0, x.st.Matches+x.st.Fallbacks)
-	x.valBuf = make([]mach.Value, 0, x.operands)
+	x.valBuf = make([]mach.Value, 0, x.operands+len(g.Returns))
+	x.immBuf = make([]mach.Imm, 0, x.imms)
 	cov := Coverage{Total: g.NumRealNodes()}
 
 	for _, n := range g.Nodes() {
@@ -560,13 +636,13 @@ func (x *selection) emit() (*mach.Program, Coverage, error) {
 		}
 	}
 
-	x.prog.Rets = make([]mach.Value, 0, len(g.Returns))
-	for _, r := range g.Returns {
+	x.prog.Rets = x.values(len(g.Returns))
+	for i, r := range g.Returns {
 		v := x.vals[r.Index()]
 		if v < 0 {
 			return nil, cov, fmt.Errorf("isel: %s: return ref v%d.%d was never emitted", g.Name, r.Node.ID, r.Result)
 		}
-		x.prog.Rets = append(x.prog.Rets, v)
+		x.prog.Rets[i] = v
 	}
 	return x.prog, cov, nil
 }
@@ -591,28 +667,41 @@ func (x *selection) newResults(goal *sem.Instr) []mach.Value {
 	return rs
 }
 
-// setImm pins immediate operand ai of in, creating in.Imms on first use.
-func setImm(in *mach.Instr, ai int, v uint64) {
-	if in.Imms == nil {
-		in.Imms = make(map[int]uint64, 1)
+// pinImm appends an immediate for operand ai of the instruction being
+// emitted to the program's immediate array.
+func (x *selection) pinImm(ai int, v uint64) {
+	x.immBuf = append(x.immBuf, mach.Imm{Arg: ai, Val: v})
+}
+
+// immsSince returns the immediates pinned from index start of the
+// array on, the instruction's own, as a slice that cannot grow into the
+// next instruction's (nil when there are none). Should the count from
+// decide fall short, append moves the array, and the copy still holds
+// them contiguously.
+func (x *selection) immsSince(start int) []mach.Imm {
+	end := len(x.immBuf)
+	if end == start {
+		return nil
 	}
-	in.Imms[ai] = v
+	return x.immBuf[start:end:end]
 }
 
 // emitMatch emits the machine instruction for a decided match.
 func (x *selection) emitMatch(m *match) error {
 	p := &m.cr.Rule.Pattern
 	in := mach.Instr{Goal: m.cr.Goal, Args: x.values(len(p.ArgKinds))}
-	for ai, ref := range m.argBind {
+	start := len(x.immBuf)
+	for ai, b := range m.argBind {
 		switch {
-		case ref.Node == nil:
+		case b.node < 0:
 			// The pattern never references this argument; verification
 			// then proved the goal is independent of it (under the
 			// pattern's precondition), so any operand works.
-			setImm(&in, ai, 0)
+			x.pinImm(ai, 0)
 		case p.ArgKinds[ai] == sem.KindImm:
-			setImm(&in, ai, ref.Node.Internals[0])
+			x.pinImm(ai, x.nodes[b.node].Internals[0])
 		default:
+			ref := firm.Ref{Node: x.nodes[b.node], Result: int(b.res)}
 			v := x.vals[ref.Index()]
 			if v < 0 {
 				return fmt.Errorf("isel: %s: operand v%d.%d of %s not yet emitted", x.g.Name, ref.Node.ID, ref.Result, m.cr.Rule.Goal)
@@ -620,13 +709,14 @@ func (x *selection) emitMatch(m *match) error {
 			in.Args[ai] = v
 		}
 	}
+	in.Imms = x.immsSince(start)
 	in.Results = x.newResults(in.Goal)
 	x.prog.Append(in)
 	// Publish the produced refs. Identity (RefArg) results need no
 	// publication: the bound operand already has a value.
 	for ri, res := range p.Results {
 		if res.Kind == pattern.RefNode {
-			x.vals[firm.Ref{Node: m.nodeMap[res.Index], Result: res.Result}.Index()] = in.Results[ri]
+			x.vals[firm.Ref{Node: x.nodes[m.nodeMap[res.Index]], Result: res.Result}.Index()] = in.Results[ri]
 		}
 	}
 	return nil
@@ -670,35 +760,18 @@ func X86Fallback() *FallbackMap {
 // x86Fallback is the shared default table (never mutated).
 var x86Fallback = X86Fallback()
 
-// fallbackGoal maps an IR node to a single machine instruction using
-// the selector's fallback table.
-func (s *Selector) fallbackGoal(n *firm.Node) *sem.Instr {
-	fb := s.FB
-	if fb == nil {
-		fb = x86Fallback
-	}
-	if name, ok := fb.Direct[n.Op]; ok {
-		return s.Goals[name]
-	}
-	if n.Op == "Cmp" {
-		return s.Goals[fb.Cmp[int(n.Internals[0])]]
-	}
-	if n.Op == "Const" {
-		return s.Goals[fb.Const]
-	}
-	return nil
-}
-
 // emitFallback translates one node directly.
 func (x *selection) emitFallback(n *firm.Node) error {
-	goal := x.s.fallbackGoal(n)
+	goal := x.fallbackGoal(n)
 	if goal == nil {
 		return fmt.Errorf("isel: %s: no fallback for op %s", x.g.Name, n.Op)
 	}
 	in := mach.Instr{Goal: goal}
 	if n.Op == "Const" {
 		in.Args = x.values(1)
-		setImm(&in, 0, n.Internals[0])
+		start := len(x.immBuf)
+		x.pinImm(0, n.Internals[0])
+		in.Imms = x.immsSince(start)
 	} else {
 		// IR argument order matches the machine instruction's operand
 		// order for every fallback pair (Cmp's relation internal is

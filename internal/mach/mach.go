@@ -25,16 +25,33 @@ type Instr struct {
 	Args []Value
 	// Results are the defined values, one per Goal.Results entry.
 	Results []Value
-	// Imms optionally pins immediate operands: Imms[i] is the constant
-	// for argument i (set for KindImm operands matched against Const
-	// nodes; such arguments ignore Args[i]).
-	Imms map[int]uint64
+	// Imms optionally pins immediate operands, at most one per
+	// argument: an argument with an entry takes its constant (set for
+	// KindImm operands matched against Const nodes) and ignores
+	// Args[i]. Read it through Imm.
+	Imms []Imm
+}
+
+// Imm pins argument Arg of an instruction to the constant Val.
+type Imm struct {
+	Arg int
+	Val uint64
+}
+
+// Imm returns the constant pinned to argument i, if any.
+func (in *Instr) Imm(i int) (uint64, bool) {
+	for _, im := range in.Imms {
+		if im.Arg == i {
+			return im.Val, true
+		}
+	}
+	return 0, false
 }
 
 func (in *Instr) String() string {
 	s := in.Goal.Name
 	for i, a := range in.Args {
-		if v, ok := in.Imms[i]; ok {
+		if v, ok := in.Imm(i); ok {
 			s += fmt.Sprintf(" $%d", v)
 		} else {
 			s += fmt.Sprintf(" r%d", a)
@@ -134,7 +151,7 @@ func (p *Program) Exec(params []uint64, mem map[uint64]uint64) (*ExecResult, err
 		in := &p.Instrs[ii]
 		args := make([]*bv.Term, len(in.Args))
 		for i, kind := range in.Goal.Args {
-			if imm, ok := in.Imms[i]; ok {
+			if imm, ok := in.Imm(i); ok {
 				args[i] = b.Const(imm, p.Width)
 				continue
 			}

@@ -40,7 +40,7 @@ func TestImmediateOperands(t *testing.T) {
 	addi := x86.Imm(x86.AddInstr())
 	out := p.NewValue()
 	p.Append(Instr{Goal: addi, Args: []Value{0, 0}, Results: []Value{out},
-		Imms: map[int]uint64{1: 5}})
+		Imms: []Imm{{Arg: 1, Val: 5}}})
 	p.Rets = []Value{out}
 	res, err := p.Exec([]uint64{37}, nil)
 	if err != nil {
@@ -98,10 +98,35 @@ func TestStringRendering(t *testing.T) {
 	p := NewProgram("f", w, 1)
 	out := p.NewValue()
 	p.Append(Instr{Goal: x86.Imm(x86.AddInstr()), Args: []Value{0, 0},
-		Results: []Value{out}, Imms: map[int]uint64{1: 9}})
+		Results: []Value{out}, Imms: []Imm{{Arg: 1, Val: 9}}})
 	p.Rets = []Value{out}
 	s := p.String()
 	if !strings.Contains(s, "add.imm") || !strings.Contains(s, "$9") {
 		t.Fatalf("rendering: %s", s)
+	}
+}
+
+// TestTwoImmediates pins both operands of one instruction, listed out
+// of argument order: Exec and String must both read each immediate by
+// its argument index.
+func TestTwoImmediates(t *testing.T) {
+	p := NewProgram("f", w, 0)
+	out := p.NewValue()
+	p.Append(Instr{Goal: x86.SubInstr(), Args: []Value{0, 0}, Results: []Value{out},
+		Imms: []Imm{{Arg: 1, Val: 4}, {Arg: 0, Val: 9}}})
+	p.Rets = []Value{out}
+	res, err := p.Exec(nil, nil)
+	if err != nil {
+		t.Fatalf("exec: %v", err)
+	}
+	if res.Values[0] != 5 {
+		t.Fatalf("sub $9 $4: got %d, want 5", res.Values[0])
+	}
+	want := "program f (0 params) {\n  sub $9 $4 -> r0\n  ret r0\n}"
+	if s := p.String(); s != want {
+		t.Fatalf("rendering:\n%s\nwant:\n%s", s, want)
+	}
+	if _, ok := p.Instrs[0].Imm(2); ok {
+		t.Fatalf("argument 2 has no immediate")
 	}
 }
