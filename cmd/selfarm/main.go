@@ -13,10 +13,11 @@
 //
 // The farm's working directory (-dir, default <output>.farm) holds the
 // coordinator's lease journal and one journal shard per worker. Every
-// lease-table transition and every finished goal is fsync'd before it
-// is acted on, so any process in the farm — workers or the coordinator
-// itself — can be SIGKILL'd at any instant and `selfarm -resume` (same
-// flags, same -dir) completes the run without redoing durable work.
+// lease grant, every quarantine and every finished goal is fsync'd
+// before it is acted on, so any process in the farm — workers or the
+// coordinator itself — can be SIGKILL'd at any instant and `selfarm
+// -resume` (same flags, same -dir) completes the run without redoing
+// durable work.
 //
 // SIGINT/SIGTERM stop the farm gracefully: workers exit, journals stay
 // intact, and the process exits with code 3 (resumable), distinct from
@@ -58,7 +59,7 @@ func run() int {
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-goal synthesis timeout")
 		maxPat    = flag.Int("max-patterns", 64, "max patterns per goal (0 = unlimited)")
 		seed      = flag.Int64("seed", 1, "test-case seed")
-		retries   = flag.Int("max-retries", 0, "retry-ladder depth for budget failures (0 = default)")
+		retries   = flag.Int("max-retries", 0, "retry-ladder depth for budget failures (0 = the default 2; negative is a usage error)")
 		costAware = flag.Bool("cost-aware", true, "cost-ordered enumeration and dominance pruning")
 		verbose   = flag.Bool("v", false, "pass worker stderr through and print farm events")
 
@@ -80,12 +81,24 @@ func run() int {
 	)
 	flag.Parse()
 
-	if err := driver.CheckWidth(*width); err != nil {
+	tgt, err := target.ByName(*tgtName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "selfarm: %v\n", err)
 		return 2
 	}
-	tgt, err := target.ByName(*tgtName)
-	if err != nil {
+	// Opts must be what a single-process `selgen` with the same flags
+	// would use: the ConfigHash derived from them is the run identity
+	// every worker registration and every shard header must match.
+	opts := driver.Options{
+		Target:             tgt.Name,
+		Width:              *width,
+		PerGoalTimeout:     *timeout,
+		MaxPatternsPerGoal: *maxPat,
+		Seed:               *seed,
+		MaxRetries:         *retries,
+		DisableCostAware:   !*costAware,
+	}
+	if err := opts.Check(); err != nil {
 		fmt.Fprintf(os.Stderr, "selfarm: %v\n", err)
 		return 2
 	}
@@ -127,19 +140,7 @@ func run() int {
 		tracer.SetEventSink(os.Stderr, obs.LevelInfo)
 	}
 
-	// Opts must be what a single-process `selgen` with the same flags
-	// would use: the ConfigHash derived from them is the run identity
-	// every worker registration and every shard header must match.
-	opts := driver.Options{
-		Target:             tgt.Name,
-		Width:              *width,
-		PerGoalTimeout:     *timeout,
-		MaxPatternsPerGoal: *maxPat,
-		Seed:               *seed,
-		MaxRetries:         *retries,
-		DisableCostAware:   !*costAware,
-		Obs:                tracer,
-	}
+	opts.Obs = tracer
 	hdr := journal.Header{
 		Version:    journal.Version,
 		Setup:      *setup,

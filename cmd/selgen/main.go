@@ -66,7 +66,7 @@ func run() int {
 		resume    = flag.String("resume", "", "resume an interrupted run from this journal (implies -journal on the same file)")
 		faults    = flag.String("faults", "", "arm fault-injection points, e.g. 'sat.spurious.timeout=once,journal.kill=hit:2' (testing only)")
 		fseed     = flag.Int64("fault-seed", 1, "seed for probabilistic fault-injection modes")
-		retries   = flag.Int("max-retries", 0, "retry-ladder depth for budget failures (0 = default, negative = single attempt, non-deadline errors fatal)")
+		retries   = flag.Int("max-retries", 0, "retry-ladder depth for budget failures (0 = the default 2; negative is a usage error)")
 		costAware = flag.Bool("cost-aware", true, "enumerate multisets in ascending cycle cost and prune dominated rules (false = exhaustive size-major ablation)")
 		status    = flag.String("status", "", "serve live telemetry (Prometheus /metrics, per-goal /goals, /debug/pprof) on this address, e.g. :6060 (empty = no server)")
 		linger    = flag.Duration("status-linger", 0, "keep the -status server up this long after the run finishes (a final scrape window)")
@@ -77,16 +77,22 @@ func run() int {
 	)
 	flag.Parse()
 
-	if err := driver.CheckWidth(*width); err != nil {
-		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
-		return 2
-	}
-	if err := driver.CheckSatWorkers(*workers); err != nil {
-		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
-		return 2
-	}
 	tgt, err := target.ByName(*tgtName)
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
+		return 2
+	}
+	opts := driver.Options{
+		Target:             tgt.Name,
+		Width:              *width,
+		PerGoalTimeout:     *timeout,
+		MaxPatternsPerGoal: *maxPat,
+		Seed:               *seed,
+		SatWorkers:         *workers,
+		MaxRetries:         *retries,
+		DisableCostAware:   !*costAware,
+	}
+	if err := opts.Check(); err != nil {
 		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
 		return 2
 	}
@@ -119,17 +125,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "selgen: %v\n", err)
 		return 2
 	}
-	opts := driver.Options{
-		Target:             tgt.Name,
-		Width:              *width,
-		PerGoalTimeout:     *timeout,
-		MaxPatternsPerGoal: *maxPat,
-		Seed:               *seed,
-		Obs:                tracer,
-		MaxRetries:         *retries,
-		Faults:             reg,
-		DisableCostAware:   !*costAware,
-	}
+	opts.Obs, opts.Faults = tracer, reg
 	if *verbose {
 		opts.Progress = os.Stderr
 	}

@@ -19,12 +19,7 @@ import (
 // on it: a crashed sequential run can legitimately be resumed with more
 // workers.
 func ConfigHash(groups []Group, opts Options) string {
-	if opts.Width == 0 {
-		opts.Width = 8
-	}
-	if opts.QueryConflicts == 0 {
-		opts.QueryConflicts = 200_000
-	}
+	opts = opts.withDefaults()
 	h := fnv.New64a()
 	wr := func(s string) {
 		h.Write([]byte(s))

@@ -9,6 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"selgen/internal/cegis"
@@ -24,8 +27,8 @@ import (
 // Group is a named set of goal instructions with a pattern-size bound.
 type Group struct {
 	Name string
-	// Goals are synthesized independently (and could run in parallel
-	// per §3; the driver runs them sequentially for determinism).
+	// Goals are synthesized independently (in parallel under
+	// Options.Parallel, per §3; results merge in goal order).
 	Goals []*sem.Instr
 	// MaxLen bounds ℓ for this group.
 	MaxLen int
@@ -322,8 +325,7 @@ type Options struct {
 	// goal order, so the library is deterministic regardless.
 	Parallel int
 	// SatWorkers is a compatibility stub: the SAT search is sequential,
-	// so only 0 and 1 are accepted, and Run and NewGoalRunner reject
-	// anything larger before any goal starts (CheckSatWorkers).
+	// so only 0 and 1 are accepted (Options.Check).
 	SatWorkers int
 	// Progress, when non-nil, receives per-goal progress lines.
 	Progress io.Writer
@@ -333,10 +335,8 @@ type Options struct {
 	// tracer (see cmd/selgen's -trace flag).
 	Obs *obs.Tracer
 	// MaxRetries sets the retry-ladder depth for goals that fail with a
-	// retryable (budget) error: 0 means DefaultRetries, a negative
-	// value disables the ladder entirely — one attempt per goal, and
-	// any non-deadline error aborts the run (the pre-ladder behaviour,
-	// kept for tests that assert errors propagate).
+	// retryable (budget) error: 0 means DefaultRetries; a negative
+	// depth is rejected (Options.Check).
 	MaxRetries int
 	// Journal, when non-nil, receives a crash-safe checkpoint record
 	// the moment each goal finishes (see package journal). Append
@@ -353,7 +353,7 @@ type Options struct {
 	// report, so a duplicate never passes silently.
 	ResumeDuplicates []string
 	// Stop, when non-nil, requests a graceful early exit: Run checks it
-	// before dispatching each goal, lets the goals already in flight
+	// before starting each goal, lets the goals already in flight
 	// finish (and journal), skips the rest, and returns ErrInterrupted
 	// alongside the partial library and report. SIGINT/SIGTERM handling
 	// in the CLIs closes this channel.
@@ -388,34 +388,27 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// Run synthesizes all groups into one library. Each goal runs behind a
-// panic boundary and a budget-escalation retry ladder (see retry.go):
-// with the ladder enabled (Options.MaxRetries ≥ 0, the default), Run
-// only fails on setup errors — a goal that cannot be synthesized is
-// degraded or quarantined and reported, never fatal.
+// Run synthesizes all groups into one library. Every goal takes the
+// path a farm worker's goals take (GoalRunner): journal replay or the
+// retry ladder behind a panic boundary (retry.go), the journal append,
+// the live state and the driver.goal.done event. max(Parallel, 1)
+// goroutines take the goals in GoalKeys order, with no barrier between
+// groups, and fold aggregates the outcomes in that order, so the
+// library does not depend on Parallel. Run only fails on setup errors:
+// a goal that cannot be synthesized is degraded or quarantined and
+// reported, never fatal.
 func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
-	opts, err := opts.normalize()
+	r, err := NewGoalRunner(groups, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := opts.Obs
-	if tr == nil {
-		tr = obs.New() // metrics-only: no trace events, no progress sink
-	}
-	if opts.Progress != nil {
-		tr.SetProgress(opts.Progress)
-	}
-	lib := &pattern.Library{Width: opts.Width}
-	rep := &Report{Metrics: tr.Metrics()}
-	ops := ir.Ops()
-	r := &runner{opts: opts, tr: tr, faults: opts.Faults, state: opts.State}
+	opts, tr := r.opts, r.tr
+	keys := GoalKeys(groups)
 
 	// Publish the whole run plan up front so /goals shows every goal
 	// (pending included) from the first scrape.
-	for _, grp := range groups {
-		for gi, g := range grp.Goals {
-			r.state.register(grp.Name, gi, g.Name)
-		}
+	for _, k := range keys {
+		opts.State.register(k.Group, k.Index, k.Goal)
 	}
 
 	// Cost audit: the cycle model treats a zero Cost as the default 1,
@@ -436,7 +429,6 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 
 	if n := len(opts.ResumeDuplicates); n > 0 {
 		tr.Add("driver.journal.duplicate", int64(n))
-		rep.JournalDuplicates = n
 		for _, key := range opts.ResumeDuplicates {
 			tr.Eventf(obs.LevelWarn, "driver.journal.duplicate",
 				[]obs.Arg{obs.Str("key", key)},
@@ -444,73 +436,76 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 		}
 	}
 
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
+	outs := make([]*goalOut, len(keys))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range max(opts.Parallel, 1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Graceful stop: no new goal starts; the goals in flight
+			// run to completion and journal their records.
+			for !stopRequested(opts.Stop) {
+				i := int(next.Add(1)) - 1
+				if i >= len(keys) {
+					return
+				}
+				// A failed journal append costs the checkpoint, never
+				// the goal; run has logged and counted it.
+				out, _ := r.run(keys[i])
+				outs[i] = &out
+			}
+		}()
 	}
+	wg.Wait()
 
-	stopped := false
+	lib, rep := fold(groups, opts, outs, tr)
+	rep.Metrics = tr.Metrics()
+	rep.JournalDuplicates = len(opts.ResumeDuplicates)
+	if slices.Contains(outs, nil) {
+		rep.Interrupted = true
+		tr.Add("driver.interrupted", 1)
+		tr.Eventf(obs.LevelWarn, "driver.interrupted",
+			[]obs.Arg{obs.Int("goals_done", int64(rep.Total.Goals))},
+			"driver: interrupted after %d goal(s); in-flight goals were journaled\n",
+			rep.Total.Goals)
+		return lib, rep, ErrInterrupted
+	}
+	return lib, rep, nil
+}
+
+// fold aggregates goal outcomes into the library and its report: outs[i]
+// is the outcome of GoalKeys(groups)[i], nil for a goal that never
+// started. Goals contribute in goal order, with each rule's cycle cost
+// recomputed from its pattern (so replayed rules cost what fresh ones
+// do), then the library is deduplicated and dominance-pruned. Run and
+// AssembleLibrary both fold through here, which is what makes a farm
+// merge byte-identical to a single-process run. A group's Elapsed sums
+// its goals' synthesis times at a journal record's millisecond
+// resolution, so it reads the same for a run, a resumed run and a
+// merge.
+func fold(groups []Group, opts Options, outs []*goalOut, tr *obs.Tracer) (*pattern.Library, *Report) {
+	lib := &pattern.Library{Width: opts.Width}
+	rep := &Report{Total: GroupReport{Name: "Total"}}
+	ops := ir.Ops()
+	i := 0
 	for _, grp := range groups {
-		if stopped {
-			break
-		}
-		gsp := tr.Span(0, "group", obs.Str("group", grp.Name),
-			obs.Int("goals", int64(len(grp.Goals))))
-		start := time.Now()
-
-		outs := make([]goalOut, len(grp.Goals))
-		slots := make(chan struct{}, workers)
-		done := make(chan int, len(grp.Goals))
-		dispatched := len(grp.Goals)
-		for gi, goal := range grp.Goals {
-			if stopRequested(opts.Stop) {
-				// Graceful stop: nothing new starts; the goals already
-				// in flight run to completion and journal their records
-				// before Run returns ErrInterrupted.
-				stopped = true
-				dispatched = gi
-				break
+		gr := GroupReport{Name: grp.Name}
+		goalOps, _ := groupParams(grp, opts, ops)
+		for _, goal := range grp.Goals {
+			o := outs[i]
+			i++
+			if o == nil {
+				continue
 			}
-			gi, goal := gi, goal
-			slots <- struct{}{}
-			goalOps, perGoal := groupParams(grp, opts, ops)
-			go func() {
-				defer func() { <-slots; done <- gi }()
-				outs[gi], _ = r.runOne(grp, gi, goal, goalOps, perGoal)
-			}()
-		}
-		for i := 0; i < dispatched; i++ {
-			<-done
-		}
-		gr := GroupReport{Name: grp.Name, Goals: dispatched}
-
-		for gi, goal := range grp.Goals {
-			if gi >= dispatched {
-				break
-			}
-			o := &outs[gi]
-			// Legacy (ladder-off) classification: the engine wraps
-			// ErrDeadline with the goal name, so this must use errors.Is —
-			// an identity comparison would turn every per-goal timeout
-			// into a fatal run abort.
-			if r.legacy() && o.err != nil && !errors.Is(o.err, cegis.ErrDeadline) {
-				return nil, nil, fmt.Errorf("driver: %s/%s: %w", grp.Name, goal.Name, o.err)
-			}
-			goalOps := ops
-			if grp.Ops != nil {
-				goalOps = grp.Ops
-			}
+			gr.Goals++
 			for _, p := range o.res.Patterns {
-				// Cost is recomputed from the pattern's nodes (one node per
-				// multiset component), so journal-replayed rules carry the
-				// same cost as freshly synthesized ones.
 				lib.Add(pattern.Rule{Goal: goal.Name, GoalCost: goal.CostOrDefault(),
 					Cost: p.CycleCost(goalOps), Pattern: p})
-				if s := p.Size(); s > gr.MaxSize {
-					gr.MaxSize = s
-				}
+				gr.MaxSize = max(gr.MaxSize, p.Size())
 			}
 			gr.Patterns += len(o.res.Patterns)
+			gr.Elapsed += o.res.Elapsed.Truncate(time.Millisecond)
 			gr.Solver.add(o.effort)
 			switch o.status {
 			case StatusOK:
@@ -526,58 +521,19 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 			if o.replayed {
 				gr.Replayed++
 			}
-			status := ""
-			switch {
-			case o.replayed:
-				status = " (replayed)"
-			case o.status == StatusQuarantined:
-				status = " (quarantined)"
-			case errors.Is(o.err, cegis.ErrDeadline):
-				status = " (timeout)"
-			case o.status == StatusRetried:
-				status = fmt.Sprintf(" (ok after %d attempts)", o.attempts)
-			}
-			ef := o.effort
-			statusTag := o.status.String()
-			if o.replayed {
-				statusTag = "replayed"
-			}
-			tr.Eventf(obs.LevelInfo, "driver.goal.done",
-				[]obs.Arg{
-					obs.Str("group", grp.Name), obs.Str("goal", goal.Name),
-					obs.Str("status", statusTag),
-					obs.Int("attempts", int64(o.attempts)),
-					obs.Int("patterns", int64(len(o.res.Patterns))),
-					obs.Int("elapsed_ms", o.res.Elapsed.Milliseconds()),
-					obs.Int("conflicts", ef.Conflicts),
-					obs.Int("timeouts", ef.QueryTimeouts),
-				},
-				"  %-24s %4d patterns in %s%s [checks %d+%d, conflicts %d, blast %.0f%%, cex reuse %d, kills %d, timeouts %d]\n",
-				goal.Name, len(o.res.Patterns), o.res.Elapsed.Round(time.Millisecond), status,
-				ef.SynthQueries, ef.VerifyQueries, ef.Conflicts,
-				100*ef.BlastHitRate(), ef.CexReused, ef.PrefilterKills, ef.QueryTimeouts)
-			if o.status == StatusQuarantined && o.err != nil {
-				tr.Eventf(obs.LevelError, "driver.goal.quarantine",
-					[]obs.Arg{obs.Str("group", grp.Name), obs.Str("goal", goal.Name),
-						obs.Str("error", firstLine(o.err.Error()))},
-					"  %-24s      quarantined: %s\n", "", firstLine(o.err.Error()))
-			}
 		}
-		gr.Elapsed = time.Since(start)
-		gsp.End(obs.Int("patterns", int64(gr.Patterns)))
 		rep.Groups = append(rep.Groups, gr)
-		rep.Total.Goals += gr.Goals
-		rep.Total.Patterns += gr.Patterns
-		rep.Total.Elapsed += gr.Elapsed
-		rep.Total.Solver.add(gr.Solver)
-		rep.Total.OK += gr.OK
-		rep.Total.Retried += gr.Retried
-		rep.Total.Degraded += gr.Degraded
-		rep.Total.Quarantined += gr.Quarantined
-		rep.Total.Replayed += gr.Replayed
-		if gr.MaxSize > rep.Total.MaxSize {
-			rep.Total.MaxSize = gr.MaxSize
-		}
+		t := &rep.Total
+		t.Goals += gr.Goals
+		t.Patterns += gr.Patterns
+		t.MaxSize = max(t.MaxSize, gr.MaxSize)
+		t.Elapsed += gr.Elapsed
+		t.Solver.add(gr.Solver)
+		t.OK += gr.OK
+		t.Retried += gr.Retried
+		t.Degraded += gr.Degraded
+		t.Quarantined += gr.Quarantined
+		t.Replayed += gr.Replayed
 	}
 	lib.Dedup()
 	if !opts.DisableCostAware {
@@ -597,14 +553,5 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 		}
 		rep.MeanRuleCost = float64(total) / float64(len(lib.Rules))
 	}
-	if stopped {
-		rep.Interrupted = true
-		tr.Add("driver.interrupted", 1)
-		tr.Eventf(obs.LevelWarn, "driver.interrupted",
-			[]obs.Arg{obs.Int("goals_done", int64(rep.Total.Goals))},
-			"driver: interrupted after %d goal(s); in-flight goals were journaled\n",
-			rep.Total.Goals)
-		return lib, rep, ErrInterrupted
-	}
-	return lib, rep, nil
+	return lib, rep
 }

@@ -94,11 +94,12 @@ func TestSetupShapes(t *testing.T) {
 }
 
 // TestOutOfRangeOptionsRejected: options outside their accepted range
-// — a word width outside 0..64, more than one SAT worker — fail Run and
-// NewGoalRunner before any goal starts, with no library, no report and
-// nothing quarantined (an out-of-range width would otherwise quarantine
-// every goal on the bv.BitVec panic). Width 0 still selects the
-// default 8, and SatWorkers 0 and 1 are accepted.
+// — a word width outside 0..64, more than one SAT worker, a negative
+// retry-ladder depth — fail Run and NewGoalRunner before any goal
+// starts, with no library, no report and nothing quarantined (an
+// out-of-range width would otherwise quarantine every goal on the
+// bv.BitVec panic). Width 0 still selects the default 8, and
+// SatWorkers 0 and 1 are accepted.
 func TestOutOfRangeOptionsRejected(t *testing.T) {
 	groups := QuickSetup()
 	for _, tc := range []struct {
@@ -108,6 +109,7 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"width 65", Options{Width: 65}},
 		{"width -3", Options{Width: -3}},
 		{"2 SAT workers", Options{SatWorkers: 2}},
+		{"max retries -1", Options{MaxRetries: -1}},
 	} {
 		tr := obs.New()
 		opts := tc.opts
@@ -125,9 +127,12 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		if _, err := NewGoalRunner(groups, tc.opts); err == nil {
 			t.Errorf("%s: NewGoalRunner accepted it", tc.name)
 		}
+		if err := tc.opts.Check(); err == nil {
+			t.Errorf("%s: Check accepted it", tc.name)
+		}
 	}
 	for _, w := range []int{0, 1, 64} {
-		if err := CheckWidth(w); err != nil {
+		if err := (Options{Width: w}).Check(); err != nil {
 			t.Errorf("width %d rejected: %v", w, err)
 		}
 	}

@@ -1,19 +1,18 @@
 // Farm-facing driver surface. A distributed synthesis farm splits the
-// work Run does in-process into three pieces that must agree exactly
-// with it, or the merged library stops being byte-identical to a
+// work Run does in-process into three pieces, and Run is built from the
+// same three, so the merged library is byte-identical to a
 // single-process run:
 //
 //   - GoalKeys flattens a setup into the coordinator's work list, in
-//     the same group/goal order Run dispatches.
-//   - GoalRunner synthesizes one leased goal at a time on a worker,
-//     through the same retry ladder, panic quarantine, journal append,
-//     and live-state publishing as Run — a farmed goal's journal record
-//     is byte-for-byte the record a single-process run would write.
+//     the group/goal order Run starts goals in.
+//   - GoalRunner runs one goal at a time. Run itself goes through it,
+//     so a farmed goal's journal record is byte-for-byte the record a
+//     single-process run writes.
 //   - AssembleLibrary folds a complete set of journal records back into
-//     a library with exactly Run's aggregation (goal order, costs,
-//     dedup, dominance pruning), so the merge is deterministic no
-//     matter which worker ran which goal, in what order, or how many
-//     times a reclaimed lease made a goal finish.
+//     a library through Run's own fold (goal order, costs, dedup,
+//     dominance pruning), so the merge is deterministic no matter
+//     which worker ran which goal, in what order, or how many times a
+//     reclaimed lease made a goal finish.
 //
 // Synthesis is deterministic per goal (same config ⇒ same patterns), so
 // these three pieces together give the farm its core guarantee: merged
@@ -57,9 +56,7 @@ func GoalKeys(groups []Group) []GoalKey {
 }
 
 // groupParams resolves a group's effective op set and per-goal pattern
-// cap against the run options — the one resolution Run and GoalRunner
-// must share for a farmed goal to synthesize exactly what a
-// single-process run would.
+// cap against the run options (the synthesis and the fold share it).
 func groupParams(grp Group, opts Options, ops []*sem.Instr) ([]*sem.Instr, int) {
 	goalOps := ops
 	if grp.Ops != nil {
@@ -74,37 +71,28 @@ func groupParams(grp Group, opts Options, ops []*sem.Instr) ([]*sem.Instr, int) 
 	return goalOps, perGoal
 }
 
-// CheckWidth rejects a word width the semantic models do not support:
-// options take 1..64, or 0 for the default 8. Run and NewGoalRunner
-// apply it before any goal starts; the CLIs apply it to their -width
-// flag.
-func CheckWidth(w int) error {
-	if w < 0 || w > 64 {
-		return fmt.Errorf("driver: word width %d is outside 1..64 (0 selects 8)", w)
+// Check rejects options outside their accepted range: a word width
+// outside 0..64 (0 selects 8), more than one SAT worker (the SAT search
+// is sequential, so only 0 and 1 are accepted), and a negative
+// retry-ladder depth. Run, NewGoalRunner and AssembleLibrary apply it
+// before any goal starts; the CLIs apply it to the options their flags
+// build and exit 2 on an error.
+func (o Options) Check() error {
+	if o.Width < 0 || o.Width > 64 {
+		return fmt.Errorf("driver: word width %d is outside 1..64 (0 selects 8)", o.Width)
+	}
+	if o.SatWorkers > 1 {
+		return fmt.Errorf("driver: %d SAT workers requested, but the SAT search is sequential (only 0 and 1 are accepted)", o.SatWorkers)
+	}
+	if o.MaxRetries < 0 {
+		return fmt.Errorf("driver: retry-ladder depth %d is negative (0 selects the default %d)", o.MaxRetries, DefaultRetries)
 	}
 	return nil
 }
 
-// CheckSatWorkers rejects an Options.SatWorkers (or -sat-workers)
-// value the sequential SAT search cannot honour: only 0 and 1 are
-// accepted. Run and NewGoalRunner apply it before any goal starts;
-// selgen applies it to its -sat-workers flag.
-func CheckSatWorkers(n int) error {
-	if n > 1 {
-		return fmt.Errorf("driver: %d SAT workers requested, but the SAT search is sequential (only 0 and 1 are accepted)", n)
-	}
-	return nil
-}
-
-// normalize checks opts and applies Run's option defaults (kept in
-// sync with ConfigHash).
-func (o Options) normalize() (Options, error) {
-	if err := CheckWidth(o.Width); err != nil {
-		return o, err
-	}
-	if err := CheckSatWorkers(o.SatWorkers); err != nil {
-		return o, err
-	}
+// withDefaults applies Run's option defaults; ConfigHash hashes the
+// options it returns.
+func (o Options) withDefaults() Options {
 	if o.Width == 0 {
 		o.Width = 8
 	}
@@ -114,19 +102,26 @@ func (o Options) normalize() (Options, error) {
 		// abandoned (Stats.QueryTimeouts) rather than stalling the run.
 		o.QueryConflicts = 200_000
 	}
-	return o, nil
+	return o
 }
 
-// GoalRunner synthesizes individual goals on demand — the farm worker's
-// engine. Where Run owns the whole work list, a GoalRunner is handed
-// goals one lease at a time and must produce, for each, the same
-// journal record Run would have.
+// normalize checks opts and applies Run's option defaults.
+func (o Options) normalize() (Options, error) {
+	if err := o.Check(); err != nil {
+		return o, err
+	}
+	return o.withDefaults(), nil
+}
+
+// GoalRunner runs goals: the one pipeline behind both Run, which hands
+// it every goal of the setup, and a farm worker, which hands it goals
+// one lease at a time. Either way a goal produces the same journal
+// record.
 type GoalRunner struct {
-	groups []Group
 	byName map[string]*Group
 	opts   Options
+	tr     *obs.Tracer
 	ops    []*sem.Instr
-	r      *runner
 }
 
 // NewGoalRunner prepares a runner over the setup's groups with the same
@@ -141,14 +136,16 @@ func NewGoalRunner(groups []Group, opts Options) (*GoalRunner, error) {
 	}
 	tr := opts.Obs
 	if tr == nil {
-		tr = obs.New()
+		tr = obs.New() // metrics-only: no trace events, no progress sink
+	}
+	if opts.Progress != nil {
+		tr.SetProgress(opts.Progress)
 	}
 	g := &GoalRunner{
-		groups: groups,
 		byName: make(map[string]*Group, len(groups)),
 		opts:   opts,
+		tr:     tr,
 		ops:    ir.Ops(),
-		r:      &runner{opts: opts, tr: tr, faults: opts.Faults, state: opts.State},
 	}
 	for i := range groups {
 		g.byName[groups[i].Name] = &groups[i]
@@ -162,104 +159,80 @@ func NewGoalRunner(groups []Group, opts Options) (*GoalRunner, error) {
 // record IS the work product — patterns that never reached the shard
 // must not be acknowledged to the coordinator.
 func (g *GoalRunner) Run(key GoalKey) (journal.GoalRecord, error) {
+	out, err := g.run(key)
+	if err != nil {
+		return journal.GoalRecord{}, err
+	}
+	return recordOf(key, out), nil
+}
+
+// run takes one goal through the pipeline: journal replay or the retry
+// ladder, the live state, the journal append, and the driver.goal.done
+// event (exactly one per call). The error is a key that names no goal
+// of the setup, or the journal append's; the outcome is valid alongside
+// an append error.
+func (g *GoalRunner) run(key GoalKey) (goalOut, error) {
 	grp := g.byName[key.Group]
 	if grp == nil {
-		return journal.GoalRecord{}, fmt.Errorf("driver: no group %q in this setup", key.Group)
+		return goalOut{}, fmt.Errorf("driver: no group %q in this setup", key.Group)
 	}
 	if key.Index < 0 || key.Index >= len(grp.Goals) {
-		return journal.GoalRecord{}, fmt.Errorf("driver: goal index %d out of range for group %q (%d goals)",
+		return goalOut{}, fmt.Errorf("driver: goal index %d out of range for group %q (%d goals)",
 			key.Index, key.Group, len(grp.Goals))
 	}
 	goal := grp.Goals[key.Index]
 	if goal.Name != key.Goal {
-		return journal.GoalRecord{}, fmt.Errorf("driver: goal %q at %s/%d, lease says %q — coordinator and worker disagree on the setup",
+		return goalOut{}, fmt.Errorf("driver: goal %q at %s/%d, lease says %q — coordinator and worker disagree on the setup",
 			goal.Name, key.Group, key.Index, key.Goal)
 	}
-	g.r.state.register(key.Group, key.Index, key.Goal)
-	goalOps, perGoal := groupParams(*grp, g.opts, g.ops)
-	out, err := g.r.runOne(*grp, key.Index, goal, goalOps, perGoal)
-	if err != nil {
-		return journal.GoalRecord{}, fmt.Errorf("driver: journaling %s: %w", key.Key(), err)
+	k := key.Key()
+	g.opts.State.register(key.Group, key.Index, key.Goal)
+	var out goalOut
+	if rec, ok := g.opts.Resume[k]; ok {
+		g.tr.Add("driver.resume.replayed", 1)
+		out = replayed(rec)
+	} else {
+		goalOps, perGoal := groupParams(*grp, g.opts, g.ops)
+		out = g.synthesizeWithRetries(*grp, k, goal, goalOps, perGoal)
 	}
-	return recordOf(key.Group, key.Index, key.Goal, out), nil
+	g.opts.State.finish(k, out)
+	var err error
+	if !out.replayed {
+		if err = g.journalAppend(key, out); err != nil {
+			err = fmt.Errorf("driver: journaling %s: %w", k, err)
+		}
+	}
+	g.logDone(key, out)
+	return out, err
 }
 
 // AssembleLibrary folds a complete record set (one per goal of the
-// setup, keyed by journal.Key) into the library, with exactly Run's
-// aggregation: group/goal order, recomputed cycle costs, dedup, and
-// dominance pruning. Missing keys are an error — an incomplete farm run
-// must fail loudly, never ship a silently truncated library.
+// setup, keyed by journal.Key) into the library through Run's fold, so
+// the result is byte-identical to the run that wrote the records.
+// Missing keys are an error — an incomplete farm run must fail loudly,
+// never ship a silently truncated library. Records carry no solver
+// effort, so the report's Solver rows stay zero.
 func AssembleLibrary(groups []Group, recs map[string]journal.GoalRecord, opts Options) (*pattern.Library, *Report, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, nil, err
 	}
-	lib := &pattern.Library{Width: opts.Width}
-	rep := &Report{}
-	ops := ir.Ops()
+	keys := GoalKeys(groups)
+	outs := make([]*goalOut, len(keys))
 	var missing []string
-	for _, grp := range groups {
-		gr := GroupReport{Name: grp.Name, Goals: len(grp.Goals)}
-		goalOps, _ := groupParams(grp, opts, ops)
-		for gi, goal := range grp.Goals {
-			rec, ok := recs[journal.Key(grp.Name, gi, goal.Name)]
-			if !ok {
-				missing = append(missing, journal.Key(grp.Name, gi, goal.Name))
-				continue
-			}
-			for _, p := range rec.Patterns {
-				lib.Add(pattern.Rule{Goal: goal.Name, GoalCost: goal.CostOrDefault(),
-					Cost: p.CycleCost(goalOps), Pattern: p})
-				if s := p.Size(); s > gr.MaxSize {
-					gr.MaxSize = s
-				}
-			}
-			gr.Patterns += len(rec.Patterns)
-			gr.Replayed++
-			switch statusFromString(rec.Status) {
-			case StatusOK:
-				gr.OK++
-			case StatusRetried:
-				gr.Retried++
-			case StatusDegraded:
-				gr.Degraded++
-			case StatusQuarantined:
-				gr.Quarantined++
-				gr.QuarantinedGoals = append(gr.QuarantinedGoals, goal.Name)
-			}
+	for i, k := range keys {
+		rec, ok := recs[k.Key()]
+		if !ok {
+			missing = append(missing, k.Key())
+			continue
 		}
-		rep.Groups = append(rep.Groups, gr)
-		rep.Total.Goals += gr.Goals
-		rep.Total.Patterns += gr.Patterns
-		rep.Total.OK += gr.OK
-		rep.Total.Retried += gr.Retried
-		rep.Total.Degraded += gr.Degraded
-		rep.Total.Quarantined += gr.Quarantined
-		rep.Total.Replayed += gr.Replayed
-		if gr.MaxSize > rep.Total.MaxSize {
-			rep.Total.MaxSize = gr.MaxSize
-		}
+		out := replayed(rec)
+		outs[i] = &out
 	}
 	if len(missing) > 0 {
 		return nil, nil, fmt.Errorf("driver: %d goal record(s) missing from the merge (first: %s) — the farm run is incomplete",
 			len(missing), missing[0])
 	}
-	lib.Dedup()
-	if !opts.DisableCostAware {
-		if n := lib.PruneDominated(ops); n > 0 {
-			rep.RulesDominated = n
-		}
-	}
-	if len(lib.Rules) > 0 {
-		total := 0
-		for _, rl := range lib.Rules {
-			c := rl.Cost
-			if c == 0 {
-				c = rl.Pattern.CycleCost(ops)
-			}
-			total += c
-		}
-		rep.MeanRuleCost = float64(total) / float64(len(lib.Rules))
-	}
+	lib, rep := fold(groups, opts, outs, nil)
 	return lib, rep, nil
 }

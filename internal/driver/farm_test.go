@@ -79,9 +79,25 @@ func TestAssembleLibraryMatchesRun(t *testing.T) {
 		t.Fatalf("assembled library differs from the run's: %d vs %d rules",
 			len(lib.Rules), len(baseLib.Rules))
 	}
-	if rep.Total.Goals != baseRep.Total.Goals || rep.Total.Patterns != baseRep.Total.Patterns {
-		t.Fatalf("assembled report: %d goals / %d patterns, run had %d / %d",
-			rep.Total.Goals, rep.Total.Patterns, baseRep.Total.Goals, baseRep.Total.Patterns)
+	// Every row matches the run's except the solver effort, which
+	// records do not carry, and Replayed, which marks every assembled
+	// goal. Elapsed sums the goals' recorded times in both.
+	if len(rep.Groups) != len(baseRep.Groups) {
+		t.Fatalf("assembled report has %d groups, run had %d", len(rep.Groups), len(baseRep.Groups))
+	}
+	for i, row := range append(rep.Groups, rep.Total) {
+		want := baseRep.Total
+		if i < len(baseRep.Groups) {
+			want = baseRep.Groups[i]
+		}
+		row.Solver, want.Solver = SolverEffort{}, SolverEffort{}
+		row.Replayed, want.Replayed = 0, 0
+		if !reflect.DeepEqual(row, want) {
+			t.Fatalf("assembled row %+v, run had %+v", row, want)
+		}
+	}
+	if rep.Total.Elapsed <= 0 {
+		t.Fatalf("assembled report sums no synthesis time")
 	}
 	if rep.Total.Replayed != rep.Total.Goals {
 		t.Fatalf("assembled report must mark every goal replayed (%d of %d)",
@@ -168,6 +184,33 @@ func TestGoalRunnerMatchesRun(t *testing.T) {
 	}
 	if _, err := gr.Run(GoalKey{Group: groups[0].Name, Index: 0, Goal: "wrong-name"}); err == nil {
 		t.Fatalf("GoalRunner accepted a mismatched goal name")
+	}
+}
+
+// TestGoalRunnerLogsOneGoalDone: every GoalRunner.Run call logs exactly
+// one driver.goal.done event, synthesized or replayed — the event bench
+// counts goals by, for Run and farm workers alike.
+func TestGoalRunnerLogsOneGoalDone(t *testing.T) {
+	groups := QuickSetup()
+	key := GoalKeys(groups)[0]
+	var events bytes.Buffer
+	tr := obs.New()
+	tr.SetEventSink(&events, obs.LevelDebug)
+	opts := quickOpts()
+	opts.Obs = tr
+	rec, err := mustGoalRunner(t, groups, opts).Run(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = map[string]journal.GoalRecord{key.Key(): rec}
+	if _, err := mustGoalRunner(t, groups, opts).Run(key); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(events.Bytes(), []byte(`"event":"driver.goal.done"`)); n != 2 {
+		t.Fatalf("two Run calls logged %d driver.goal.done events, want 2:\n%s", n, events.String())
+	}
+	if !bytes.Contains(events.Bytes(), []byte(`"status":"replayed"`)) {
+		t.Fatalf("the replayed goal's event is not marked replayed:\n%s", events.String())
 	}
 }
 
@@ -295,9 +338,12 @@ func TestRunInterruptedThenResumed(t *testing.T) {
 	if len(rec.Goals) != rep.Total.Goals {
 		t.Fatalf("journal holds %d goals, report says %d finished", len(rec.Goals), rep.Total.Goals)
 	}
+	// The resume runs two goroutines: replays and fresh goals share the
+	// journal and the fold.
 	ropts := quickOpts()
 	ropts.Journal = jw2
 	ropts.Resume = rec.Index()
+	ropts.Parallel = 2
 	full, rrep, err := Run(groups, ropts)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)

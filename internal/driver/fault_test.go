@@ -2,7 +2,6 @@ package driver
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,8 +129,7 @@ func TestRetryLadderRecovers(t *testing.T) {
 
 // TestRetryLadderShape pins the attempt sequence: rung 0 is the
 // configured budget, rung 1 doubles the timeout, rung 2 quadruples it
-// and falls back to classical CEGIS, deeper rungs repeat rung 2, and a
-// negative MaxRetries leaves a single attempt.
+// and falls back to classical CEGIS, and deeper rungs repeat rung 2.
 func TestRetryLadderShape(t *testing.T) {
 	const T = time.Minute
 	for _, tc := range []struct {
@@ -139,13 +137,12 @@ func TestRetryLadderShape(t *testing.T) {
 		timeout time.Duration
 		want    []rung
 	}{
-		{-1, T, []rung{{T, false}}},
 		{0, T, []rung{{T, false}, {2 * T, false}, {4 * T, true}}},
 		{3, T, []rung{{T, false}, {2 * T, false}, {4 * T, true}, {4 * T, true}}},
 		{0, 0, []rung{{0, false}, {0, false}, {0, true}}},
 	} {
-		r := &runner{opts: Options{MaxRetries: tc.retries, PerGoalTimeout: tc.timeout}}
-		if got := r.ladder(); !reflect.DeepEqual(got, tc.want) {
+		g := &GoalRunner{opts: Options{MaxRetries: tc.retries, PerGoalTimeout: tc.timeout}}
+		if got := g.ladder(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("MaxRetries %d, timeout %v: ladder %+v, want %+v", tc.retries, tc.timeout, got, tc.want)
 		}
 	}
@@ -278,17 +275,5 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	}
 	if _, _, err := journal.Resume(path, want); err == nil {
 		t.Fatalf("resume accepted a mismatched configuration")
-	}
-}
-
-// TestLegacyModeStillFatal: MaxRetries < 0 preserves the pre-ladder
-// contract — a non-deadline error aborts the run.
-func TestLegacyModeStillFatal(t *testing.T) {
-	opts := quickOpts()
-	opts.MaxRetries = -1
-	opts.Faults = mustFaults(t, "driver.goal.panic=once")
-	_, _, err := Run(QuickSetup(), opts)
-	if err == nil || !errors.Is(err, ErrGoalPanic) {
-		t.Fatalf("legacy mode: got %v, want a fatal ErrGoalPanic", err)
 	}
 }

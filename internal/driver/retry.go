@@ -86,28 +86,13 @@ type rung struct {
 	classical bool
 }
 
-// runner carries one Run invocation's shared state into the per-goal
-// workers.
-type runner struct {
-	opts   Options
-	tr     *obs.Tracer
-	faults *failpoint.Registry
-	// state is the live-status publisher (nil when no telemetry is
-	// attached; all its methods are nil-safe).
-	state *RunState
-}
-
 // ladder returns the attempt sequence for one goal. Rung 0 is the
 // configured budget; rung 1 doubles the timeout; rung 2 quadruples the
-// timeout (the cap) and falls back to classical CEGIS. MaxRetries < 0
-// disables the ladder (single attempt, legacy error handling); deeper
-// ladders repeat the rung-2 shape.
-func (r *runner) ladder() []rung {
-	base := rung{timeout: r.opts.PerGoalTimeout}
-	retries := r.opts.MaxRetries
-	if retries < 0 {
-		return []rung{base}
-	}
+// timeout (the cap) and falls back to classical CEGIS; deeper ladders
+// repeat the rung-2 shape.
+func (g *GoalRunner) ladder() []rung {
+	base := rung{timeout: g.opts.PerGoalTimeout}
+	retries := g.opts.MaxRetries
 	if retries == 0 {
 		retries = DefaultRetries
 	}
@@ -120,8 +105,6 @@ func (r *runner) ladder() []rung {
 	}
 	return rungs
 }
-
-func (r *runner) legacy() bool { return r.opts.MaxRetries < 0 }
 
 // retryable reports whether the error is a budget exhaustion a bigger
 // budget might cure, as opposed to a bug (panic, internal error) that
@@ -140,82 +123,60 @@ type goalOut struct {
 	replayed bool
 }
 
-// runOne produces a goal's outcome: replayed from the resume journal if
-// recorded there, synthesized through the retry ladder otherwise, and —
-// when freshly synthesized — appended to the run's journal. The error is
-// the journal append's: Run tolerates it (checkpoint durability lost,
-// run intact) while a farm worker fails the lease on it (the record IS
-// the work product there; see GoalRunner).
-func (r *runner) runOne(grp Group, gi int, goal *sem.Instr, goalOps []*sem.Instr, perGoal int) (goalOut, error) {
-	key := journal.Key(grp.Name, gi, goal.Name)
-	if rec, ok := r.opts.Resume[key]; ok {
-		r.tr.Add("driver.resume.replayed", 1)
-		out := goalOut{
-			res: &cegis.Result{
-				Goal:     goal,
-				Patterns: rec.Patterns,
-				MinLen:   rec.MinLen,
-				Elapsed:  time.Duration(rec.ElapsedMS) * time.Millisecond,
-			},
-			status:   statusFromString(rec.Status),
-			attempts: rec.Attempts,
-			replayed: true,
-		}
-		r.state.finish(key, out)
-		return out, nil
+// replayed is the outcome a journal record stands for: what a resumed
+// run replays instead of synthesizing, and what AssembleLibrary folds.
+func replayed(rec journal.GoalRecord) goalOut {
+	return goalOut{
+		res: &cegis.Result{
+			Patterns: rec.Patterns,
+			MinLen:   rec.MinLen,
+			Elapsed:  time.Duration(rec.ElapsedMS) * time.Millisecond,
+		},
+		status:   statusFromString(rec.Status),
+		attempts: rec.Attempts,
+		replayed: true,
 	}
-	out := r.synthesizeWithRetries(grp, key, goal, goalOps, perGoal)
-	r.state.finish(key, out)
-	return out, r.journalAppend(grp.Name, gi, goal.Name, out)
 }
 
 // synthesizeWithRetries walks the goal up the retry ladder. A clean
 // attempt wins immediately; a non-retryable error quarantines the goal;
 // exhausting the ladder on retryable errors degrades it, keeping the
 // last attempt's verified partial patterns.
-func (r *runner) synthesizeWithRetries(grp Group, key string, goal *sem.Instr, goalOps []*sem.Instr, perGoal int) goalOut {
-	rungs := r.ladder()
+func (g *GoalRunner) synthesizeWithRetries(grp Group, key string, goal *sem.Instr, goalOps []*sem.Instr, perGoal int) goalOut {
+	rungs := g.ladder()
 	var out goalOut
 	for ai, rg := range rungs {
 		var live *cegis.LiveStats
-		if r.state != nil {
+		if g.opts.State != nil {
 			live = new(cegis.LiveStats)
 		}
-		r.state.startAttempt(key, ai, live)
-		res, effort, err := r.attemptGoal(grp, goal, goalOps, perGoal, rg, live)
+		g.opts.State.startAttempt(key, ai, live)
+		res, effort, err := g.attemptGoal(grp, goal, goalOps, perGoal, rg, live)
 		out.effort.add(effort)
 		out.attempts = ai + 1
 		out.res, out.err = res, err
 		if err == nil {
 			if ai > 0 {
 				out.status = StatusRetried
-				r.tr.Add("driver.retry.recovered", 1)
-			}
-			break
-		}
-		if r.legacy() {
-			// Single attempt; classification (deadline tolerated, the
-			// rest fatal) happens in the aggregation loop.
-			if errors.Is(err, cegis.ErrDeadline) {
-				out.status = StatusDegraded
+				g.tr.Add("driver.retry.recovered", 1)
 			}
 			break
 		}
 		if !retryable(err) {
 			out.status = StatusQuarantined
-			r.tr.Add("driver.quarantine", 1)
+			g.tr.Add("driver.quarantine", 1)
 			break
 		}
 		if ai < len(rungs)-1 {
-			r.tr.Add("driver.retry.attempts", 1)
-			r.tr.Event(obs.LevelInfo, "driver.goal.retry",
+			g.tr.Add("driver.retry.attempts", 1)
+			g.tr.Event(obs.LevelInfo, "driver.goal.retry",
 				obs.Str("group", grp.Name), obs.Str("goal", goal.Name),
 				obs.Int("rung", int64(ai+1)),
 				obs.Str("error", firstLine(err.Error())))
 			continue
 		}
 		out.status = StatusDegraded
-		r.tr.Add("driver.retry.exhausted", 1)
+		g.tr.Add("driver.retry.exhausted", 1)
 	}
 	if out.res == nil {
 		out.res = &cegis.Result{Goal: goal}
@@ -233,30 +194,30 @@ func (r *runner) synthesizeWithRetries(grp Group, key string, goal *sem.Instr, g
 // the driver's panic boundary: whatever escapes the engine (or the
 // engine construction itself) is converted to an error wrapping
 // ErrGoalPanic, with the stack attached for the quarantine report.
-func (r *runner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, perGoal int, rg rung, live *cegis.LiveStats) (res *cegis.Result, effort SolverEffort, err error) {
+func (g *GoalRunner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, perGoal int, rg rung, live *cegis.LiveStats) (res *cegis.Result, effort SolverEffort, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.tr.Add("driver.goal_panics", 1)
+			g.tr.Add("driver.goal_panics", 1)
 			err = fmt.Errorf("driver: goal %s: %w: %v\n%s",
 				goal.Name, ErrGoalPanic, rec, debug.Stack())
 		}
 	}()
-	if r.faults.Active(failpoint.DriverGoalPanic) {
+	if g.opts.Faults.Active(failpoint.DriverGoalPanic) {
 		panic("failpoint: injected driver goal panic")
 	}
 	cfg := cegis.Config{
-		Width:                  r.opts.Width,
+		Width:                  g.opts.Width,
 		MaxLen:                 grp.MaxLen,
-		QueryConflicts:         r.opts.QueryConflicts,
+		QueryConflicts:         g.opts.QueryConflicts,
 		MaxPatternsPerGoal:     perGoal,
 		MaxPatternsPerMultiset: grp.MaxPatternsPerMultiset,
 		FreezeArgWitnesses:     grp.FreezeArgWitnesses,
-		Seed:                   r.opts.Seed,
+		Seed:                   g.opts.Seed,
 		DisableIncremental:     rg.classical,
-		DisableCostAware:       r.opts.DisableCostAware,
-		Obs:                    r.tr,
+		DisableCostAware:       g.opts.DisableCostAware,
+		Obs:                    g.tr,
 		Live:                   live,
-		Faults:                 r.faults,
+		Faults:                 g.opts.Faults,
 	}
 	if rg.timeout > 0 {
 		cfg.Deadline = time.Now().Add(rg.timeout)
@@ -274,29 +235,67 @@ func (r *runner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, p
 }
 
 // journalAppend records a freshly synthesized goal in the run journal
-// and returns the append error. In Run the error is reported and counted
-// but never fatal — losing checkpoint durability is strictly better than
-// losing the run — while GoalRunner propagates it to the farm worker.
-func (r *runner) journalAppend(group string, gi int, goal string, out goalOut) error {
-	if r.opts.Journal == nil {
+// and returns the append error. Run reports and counts it but never
+// fails on it — losing checkpoint durability is strictly better than
+// losing the run — while GoalRunner.Run returns it to the farm worker.
+func (g *GoalRunner) journalAppend(key GoalKey, out goalOut) error {
+	if g.opts.Journal == nil {
 		return nil
 	}
-	if err := r.opts.Journal.Append(recordOf(group, gi, goal, out)); err != nil {
-		r.tr.Add("driver.journal.errors", 1)
-		r.tr.Eventf(obs.LevelWarn, "driver.journal.error",
-			[]obs.Arg{obs.Str("group", group), obs.Str("goal", goal)},
+	if err := g.opts.Journal.Append(recordOf(key, out)); err != nil {
+		g.tr.Add("driver.journal.errors", 1)
+		g.tr.Eventf(obs.LevelWarn, "driver.journal.error",
+			[]obs.Arg{obs.Str("group", key.Group), obs.Str("goal", key.Goal)},
 			"  journal: %v\n", err)
 		return err
 	}
 	return nil
 }
 
+// logDone emits the goal's driver.goal.done event — its progress line —
+// and, for a goal quarantined in this process, driver.goal.quarantine.
+func (g *GoalRunner) logDone(key GoalKey, o goalOut) {
+	group, goal := key.Group, key.Goal
+	status, tag := "", o.status.String()
+	switch {
+	case o.replayed:
+		status, tag = " (replayed)", "replayed"
+	case o.status == StatusQuarantined:
+		status = " (quarantined)"
+	case errors.Is(o.err, cegis.ErrDeadline):
+		status = " (timeout)"
+	case o.status == StatusRetried:
+		status = fmt.Sprintf(" (ok after %d attempts)", o.attempts)
+	}
+	ef := o.effort
+	g.tr.Eventf(obs.LevelInfo, "driver.goal.done",
+		[]obs.Arg{
+			obs.Str("group", group), obs.Str("goal", goal),
+			obs.Str("status", tag),
+			obs.Int("attempts", int64(o.attempts)),
+			obs.Int("patterns", int64(len(o.res.Patterns))),
+			obs.Int("elapsed_ms", o.res.Elapsed.Milliseconds()),
+			obs.Int("conflicts", ef.Conflicts),
+			obs.Int("timeouts", ef.QueryTimeouts),
+		},
+		"  %-24s %4d patterns in %s%s [checks %d+%d, conflicts %d, blast %.0f%%, cex reuse %d, kills %d, timeouts %d]\n",
+		goal, len(o.res.Patterns), o.res.Elapsed.Round(time.Millisecond), status,
+		ef.SynthQueries, ef.VerifyQueries, ef.Conflicts,
+		100*ef.BlastHitRate(), ef.CexReused, ef.PrefilterKills, ef.QueryTimeouts)
+	if o.status == StatusQuarantined && o.err != nil {
+		g.tr.Eventf(obs.LevelError, "driver.goal.quarantine",
+			[]obs.Arg{obs.Str("group", group), obs.Str("goal", goal),
+				obs.Str("error", firstLine(o.err.Error()))},
+			"  %-24s      quarantined: %s\n", "", firstLine(o.err.Error()))
+	}
+}
+
 // recordOf converts a goal's terminal outcome into its journal record.
-func recordOf(group string, gi int, goal string, out goalOut) journal.GoalRecord {
+func recordOf(key GoalKey, out goalOut) journal.GoalRecord {
 	rec := journal.GoalRecord{
-		Group:    group,
-		Index:    gi,
-		Goal:     goal,
+		Group:    key.Group,
+		Index:    key.Index,
+		Goal:     key.Goal,
 		Status:   out.status.String(),
 		Attempts: out.attempts,
 		MinLen:   out.res.MinLen,

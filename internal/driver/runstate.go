@@ -82,9 +82,9 @@ func NewRunState() *RunState {
 }
 
 // register adds a goal in pending state. Registering a key that
-// already exists resets its entry (the same goal synthesized again in
-// one process, e.g. iselbench building the basic then the full
-// library, reuses its row).
+// already exists resets its entry: Run registers every goal up front
+// and GoalRunner again as the goal starts, and a goal synthesized again
+// in one process reuses its row.
 func (s *RunState) register(group string, gi int, goal string) {
 	if s == nil {
 		return

@@ -58,6 +58,8 @@ const (
 	// JournalKill SIGKILLs the process right after a successful
 	// journal append — a deterministic mid-run crash for testing
 	// journal resume (used by the CI kill-and-resume smoke test).
+	// Armed in the farm coordinator's registry, it kills the
+	// coordinator after a durable lease or quarantine record.
 	JournalKill = "journal.kill"
 	// FarmLeaseGrant drops a coordinator lease response on the floor
 	// after it is recorded: the worker never sees the grant, so the
@@ -74,27 +76,22 @@ const (
 	// failed, driving the unhealthy-worker kill-and-reclaim path
 	// without an actually wedged worker.
 	FarmHeartbeatDrop = "farm.heartbeat.drop"
-	// FarmCoordinatorKill SIGKILLs the coordinator process right after
-	// a lease-journal append is durable — the coordinator-death
-	// analogue of journal.kill, for testing selfarm -resume.
-	FarmCoordinatorKill = "farm.coordinator.kill"
 )
 
 // Known is the set of registered failpoint names.
 var Known = map[string]bool{
-	SatSpuriousTimeout:  true,
-	SmtBlastDeadline:    true,
-	SmtCheckPanic:       true,
-	CegisVerifyDie:      true,
-	CegisGoalDeadline:   true,
-	DriverGoalPanic:     true,
-	JournalTornWrite:    true,
-	JournalKill:         true,
-	FarmLeaseGrant:      true,
-	FarmWorkerSpawn:     true,
-	FarmMergeWrite:      true,
-	FarmHeartbeatDrop:   true,
-	FarmCoordinatorKill: true,
+	SatSpuriousTimeout: true,
+	SmtBlastDeadline:   true,
+	SmtCheckPanic:      true,
+	CegisVerifyDie:     true,
+	CegisGoalDeadline:  true,
+	DriverGoalPanic:    true,
+	JournalTornWrite:   true,
+	JournalKill:        true,
+	FarmLeaseGrant:     true,
+	FarmWorkerSpawn:    true,
+	FarmMergeWrite:     true,
+	FarmHeartbeatDrop:  true,
 }
 
 type mode int

@@ -2,7 +2,8 @@
 // errors. Worker chaos re-execs this test binary as worker subprocesses
 // with journal.kill armed, so each dies by uncatchable signal right
 // after an append is durable; coordinator chaos runs a whole farm in a
-// subprocess with farm.coordinator.kill armed and then resumes it here.
+// subprocess with journal.kill armed in the coordinator's registry and
+// then resumes it here.
 // Both assert the farm's core claim: the merged library is
 // byte-identical to an uninterrupted single-process run.
 
@@ -142,8 +143,8 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 
 // TestFarmCoordinatorHelper is the subprocess body for coordinator
 // chaos: a whole farm (in-process workers) whose coordinator is
-// SIGKILLed right after a lease-journal append is durable. Skipped
-// unless launched by TestChaosCoordinatorKillThenResume.
+// SIGKILLed right after a coordinator-journal append is durable.
+// Skipped unless launched by TestChaosCoordinatorKillThenResume.
 func TestFarmCoordinatorHelper(t *testing.T) {
 	dir := os.Getenv("FARM_COORD_DIR")
 	if dir == "" {
@@ -164,13 +165,13 @@ func TestFarmCoordinatorHelper(t *testing.T) {
 	if err != nil {
 		t.Fatalf("farm run: %v", err)
 	}
-	t.Fatal("coordinator survived the farm.coordinator.kill failpoint")
+	t.Fatal("coordinator survived the journal.kill failpoint")
 }
 
 // TestChaosCoordinatorKillThenResume: the coordinator process dies by
 // SIGKILL mid-run (taking its in-process workers with it — the whole
 // farm host vanishes); `-resume` on the same directory rebuilds the
-// lease table from the coordinator journal, re-scans the shards, and
+// lease table from the shards and the coordinator journal and
 // completes to the byte-identical library.
 func TestChaosCoordinatorKillThenResume(t *testing.T) {
 	if testing.Short() {
@@ -183,13 +184,12 @@ func TestChaosCoordinatorKillThenResume(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Appends 1–3 are the header and the two shard bindings; hit:6
-	// kills the coordinator a few lease-table transitions into the run,
-	// with work genuinely in flight.
+	// The coordinator appends only lease grants and quarantines; hit:3
+	// kills it on the third grant, with work genuinely in flight.
 	cmd := exec.Command(os.Args[0], "-test.run=TestFarmCoordinatorHelper$")
 	cmd.Env = append(os.Environ(),
 		"FARM_COORD_DIR="+dir,
-		"FARM_COORD_FAULTS=farm.coordinator.kill=hit:6",
+		"FARM_COORD_FAULTS=journal.kill=hit:3",
 	)
 	out, err := cmd.CombinedOutput()
 	var xerr *exec.ExitError

@@ -6,18 +6,21 @@
 // with exponential backoff, and a goal that exhausts its attempt budget
 // is quarantined rather than wedging the run. Worker health is watched
 // two ways: process exit (the spawner's handle) and a heartbeat that
-// scrapes each worker's telemetry endpoints (/metrics for liveness,
-// /goals for synthesis progress) — a wedged worker is killed and its
-// leases reclaimed like any crash.
+// scrapes each worker's /metrics endpoint — a worker whose telemetry
+// stops answering is killed and its leases reclaimed like any crash.
 //
-// Durability is journal-shaped at both levels. Each worker fsyncs every
-// finished goal into its own internal/journal shard before reporting
-// it, so a SIGKILL loses at most the goal in flight; the coordinator
-// journals every lease-table transition (coordjournal.go), so `selfarm
-// -resume` rebuilds the table after coordinator death. The merge reads
-// the shards back (validating each header with journal.CheckHeader —
-// the same cross-ISA/configuration refusal a single-process resume
-// applies) and folds them through driver.AssembleLibrary, whose
+// Every journal here is an internal/journal file. Each worker fsyncs
+// every finished goal into its own shard before reporting it, so a
+// SIGKILL loses at most the goal in flight. The coordinator journal
+// (CoordJournalPath) holds only what the shards cannot say: each lease
+// grant with its attempt number, and each quarantine as a goal record
+// (a quarantined goal has no shard record). `selfarm -resume` takes the
+// done goals from the shards and the attempt counts and quarantines
+// from the coordinator journal. The merge reads the shards back
+// (validating each header with journal.CheckHeader — the same
+// cross-ISA/configuration refusal a single-process resume applies),
+// then the coordinator journal's quarantine records for the goals no
+// shard holds, and folds them through driver.AssembleLibrary, whose
 // aggregation order makes the merged library byte-identical to an
 // uninterrupted single-process run, no matter which workers ran which
 // goals, in what order, or how many times a reclaimed lease made a goal
@@ -27,7 +30,6 @@ package farm
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
@@ -86,15 +88,13 @@ type Config struct {
 	// (default Lease/4).
 	Backoff time.Duration
 	// Heartbeat is the telemetry scrape interval (0 = heartbeat off).
+	// stallScrapes consecutive failed scrapes condemn a worker.
 	Heartbeat time.Duration
-	// StallScrapes is how many consecutive failed-or-stalled scrapes
-	// condemn a worker (default 3).
-	StallScrapes int
 	// MaxRespawns bounds worker respawns across the run (default
 	// 2 + 2×Workers); past it, a crash is fatal rather than healed.
 	MaxRespawns int
-	// Resume rebuilds the lease table from Dir's coordinator journal and
-	// the existing shards instead of starting fresh.
+	// Resume rebuilds the lease table from Dir's shards and coordinator
+	// journal instead of starting fresh.
 	Resume bool
 	// Stop requests a graceful shutdown: workers are stopped, journals
 	// stay intact, Run returns ErrStopped.
@@ -138,6 +138,10 @@ func CoordJournalPath(dir string) string {
 	return filepath.Join(dir, "coordinator.journal")
 }
 
+// stallScrapes is how many consecutive failed heartbeat scrapes
+// condemn a worker.
+const stallScrapes = 3
+
 type goalState int
 
 const (
@@ -158,11 +162,9 @@ type goalEntry struct {
 
 type workerState struct {
 	id        int
-	shard     string
 	handle    Handle
 	gen       int // spawn generation; stale monitor exits are ignored
 	telemetry string
-	lastHash  uint64
 	stalls    int
 }
 
@@ -175,7 +177,7 @@ type coordinator struct {
 	goals     []*goalEntry
 	byKey     map[string]*goalEntry
 	workers   map[int]*workerState
-	jw        *coordWriter
+	jw        *journal.Writer
 	remaining int
 	finished  chan struct{}
 	done      bool // finished closed
@@ -228,9 +230,6 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = cfg.Lease / 4
 	}
-	if cfg.StallScrapes <= 0 {
-		cfg.StallScrapes = 3
-	}
 	if cfg.MaxRespawns <= 0 {
 		cfg.MaxRespawns = 2 + 2*cfg.Workers
 	}
@@ -256,52 +255,19 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	}
 	c.remaining = len(c.goals)
 
-	shardOf := make(map[int]string, cfg.Workers)
-	for id := 0; id < cfg.Workers; id++ {
-		shardOf[id] = ShardPath(cfg.Dir, id)
-	}
 	if cfg.Resume {
-		jw, recov, err := resumeCoordJournal(CoordJournalPath(cfg.Dir), cfg.Header, cfg.Faults)
-		if err != nil {
+		if err := c.resume(); err != nil {
 			return nil, nil, err
 		}
-		c.jw = jw
-		for id, p := range recov.Shards {
-			shardOf[id] = p
-		}
-		for key, n := range recov.Attempts {
-			if e := c.byKey[key]; e != nil {
-				e.attempts = n
-			}
-		}
-		for key := range recov.Quarantined {
-			if e := c.byKey[key]; e != nil && e.state == gsPending {
-				e.state = gsQuarantined
-				c.remaining--
-				c.quarantined = append(c.quarantined, key)
-			}
-		}
-		for key := range recov.Done {
-			if e := c.byKey[key]; e != nil && e.state == gsPending {
-				e.state = gsDone
-				c.remaining--
-				c.replayed++
-			}
-		}
-		tr.Eventf(obs.LevelInfo, "farm.resume",
-			[]obs.Arg{obs.Int("done", int64(c.replayed)),
-				obs.Int("quarantined", int64(len(c.quarantined))),
-				obs.Int("remaining", int64(c.remaining))},
-			"farm: resumed — %d goal(s) done, %d quarantined, %d remaining\n",
-			c.replayed, len(c.quarantined), c.remaining)
 	} else {
-		jw, err := createCoordJournal(CoordJournalPath(cfg.Dir), cfg.Header, cfg.Workers, cfg.Faults)
+		jw, err := journal.Create(CoordJournalPath(cfg.Dir), cfg.Header)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("farm: coordinator journal: %w", err)
 		}
 		c.jw = jw
 	}
-	defer c.jw.close()
+	c.jw.Faults = cfg.Faults
+	defer c.jw.Close()
 	c.mu.Lock()
 	c.maybeFinish() // a fully-replayed resume goes straight to merge
 	needWorkers := c.remaining > 0
@@ -316,7 +282,7 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 
 		c.mu.Lock()
 		for id := 0; id < cfg.Workers; id++ {
-			if err := c.spawnLocked(id, url, shardOf[id]); err != nil {
+			if err := c.spawnLocked(id, url); err != nil {
 				// A failed initial spawn consumes respawn budget like any
 				// crash; the run proceeds if at least one worker started.
 				c.noteSpawnFailureLocked(id, url, err)
@@ -374,36 +340,27 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	}
 
 	// Merge: the shards are the source of truth for every synthesized
-	// record; quarantined goals get synthetic records so the assembly
-	// can demand completeness.
-	paths := make([]string, 0, len(shardOf))
-	ids := make([]int, 0, len(shardOf))
-	for id := range shardOf {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		paths = append(paths, shardOf[id])
+	// record, and the coordinator journal, read last, adds the
+	// quarantine records of the goals no shard holds (a straggler's
+	// real record wins over its quarantine).
+	paths, err := shardPaths(cfg.Dir)
+	if err != nil {
+		return nil, rep, err
 	}
 	recs, dups, err := mergeShards(cfg.Header, paths)
 	if err != nil {
 		return nil, rep, err
 	}
 	rep.Duplicates = dups
-	c.mu.Lock()
-	for _, e := range c.goals {
-		if e.state == gsQuarantined {
-			if _, ok := recs[e.key.Key()]; !ok {
-				recs[e.key.Key()] = journal.GoalRecord{
-					Group: e.key.Group, Index: e.key.Index, Goal: e.key.Goal,
-					Status:   driver.StatusQuarantined.String(),
-					Attempts: e.attempts,
-					Err:      fmt.Sprintf("farm: quarantined after %d attempt(s)", e.attempts),
-				}
-			}
+	coord, err := journal.Read(CoordJournalPath(cfg.Dir), cfg.Header)
+	if err != nil {
+		return nil, rep, fmt.Errorf("farm: coordinator journal: %w", err)
+	}
+	for _, q := range coord.Goals {
+		if _, ok := recs[q.Key()]; !ok {
+			recs[q.Key()] = q
 		}
 	}
-	c.mu.Unlock()
 	lib, drep, err := driver.AssembleLibrary(cfg.Groups, recs, cfg.Opts)
 	if err != nil {
 		return nil, rep, err
@@ -422,6 +379,50 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	return lib, rep, nil
 }
 
+// resume rebuilds the lease table after coordinator death. A goal is
+// done when some shard holds its record; the coordinator journal then
+// restores each goal's attempt count (so the backoff and quarantine
+// ladder continues where the dead coordinator left it) and its
+// quarantines. A lease without a completion simply lapses: the goal
+// returns to the pending pool with its attempt count intact.
+func (c *coordinator) resume() error {
+	paths, err := shardPaths(c.cfg.Dir)
+	if err != nil {
+		return err
+	}
+	done, _, err := mergeShards(c.cfg.Header, paths)
+	if err != nil {
+		return err
+	}
+	jw, rec, err := journal.Resume(CoordJournalPath(c.cfg.Dir), c.cfg.Header)
+	if err != nil {
+		return fmt.Errorf("farm: coordinator journal: %w", err)
+	}
+	c.jw = jw
+	for _, e := range c.goals {
+		if _, ok := done[e.key.Key()]; ok {
+			e.state = gsDone
+			c.remaining--
+			c.replayed++
+		}
+		e.attempts = rec.Attempts[e.key.Key()]
+	}
+	for _, q := range rec.Goals {
+		if e := c.byKey[q.Key()]; e != nil && e.state == gsPending {
+			e.state = gsQuarantined
+			c.remaining--
+			c.quarantined = append(c.quarantined, q.Key())
+		}
+	}
+	c.tr.Eventf(obs.LevelInfo, "farm.resume",
+		[]obs.Arg{obs.Int("done", int64(c.replayed)),
+			obs.Int("quarantined", int64(len(c.quarantined))),
+			obs.Int("remaining", int64(c.remaining))},
+		"farm: resumed — %d goal(s) done, %d quarantined, %d remaining\n",
+		c.replayed, len(c.quarantined), c.remaining)
+	return nil
+}
+
 func (c *coordinator) report(workers int, start time.Time) *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -438,23 +439,19 @@ func (c *coordinator) report(workers int, start time.Time) *Report {
 	}
 }
 
-// spawnLocked launches worker id (c.mu held). The shard binding is
-// journaled first, so a resume after coordinator death knows the file
-// exists even if the worker never completes a goal.
-func (c *coordinator) spawnLocked(id int, url, shard string) error {
-	if err := c.jw.append(coordRecord{Kind: "shard", Worker: id, Path: shard}); err != nil {
-		return err
-	}
+// spawnLocked launches worker id against its shard (c.mu held).
+func (c *coordinator) spawnLocked(id int, url string) error {
 	if c.cfg.Faults.Active(failpoint.FarmWorkerSpawn) {
 		return fmt.Errorf("farm: injected spawn failure for worker %d", id)
 	}
+	shard := ShardPath(c.cfg.Dir, id)
 	h, err := c.cfg.Spawn(id, url, shard)
 	if err != nil {
 		return fmt.Errorf("farm: spawning worker %d: %w", id, err)
 	}
 	ws := c.workers[id]
 	if ws == nil {
-		ws = &workerState{id: id, shard: shard}
+		ws = &workerState{id: id}
 		c.workers[id] = ws
 	}
 	ws.handle = h
@@ -485,7 +482,7 @@ func (c *coordinator) noteSpawnFailureLocked(id int, url string, err error) {
 		return
 	}
 	c.respawns++
-	if rerr := c.spawnLocked(id, url, ShardPath(c.cfg.Dir, id)); rerr != nil {
+	if rerr := c.spawnLocked(id, url); rerr != nil {
 		c.tr.Eventf(obs.LevelWarn, "farm.worker.spawn_failed",
 			[]obs.Arg{obs.Int("worker", int64(id)), obs.Str("error", rerr.Error())},
 			"farm: worker %d respawn failed: %v\n", id, rerr)
@@ -536,7 +533,7 @@ func (c *coordinator) workerExited(id, gen int, url string, err error) {
 		return
 	}
 	c.respawns++
-	if rerr := c.spawnLocked(id, url, ws.shard); rerr != nil {
+	if rerr := c.spawnLocked(id, url); rerr != nil {
 		c.noteSpawnFailureLocked(id, url, rerr)
 	}
 }
@@ -555,7 +552,7 @@ func (c *coordinator) register(id int, hdr journal.Header, telemetry string) err
 	defer c.mu.Unlock()
 	ws := c.workers[id]
 	if ws == nil {
-		ws = &workerState{id: id, shard: ShardPath(c.cfg.Dir, id)}
+		ws = &workerState{id: id}
 		c.workers[id] = ws
 	}
 	ws.telemetry = telemetry
@@ -578,8 +575,7 @@ func (c *coordinator) lease(worker int) (leaseResponse, error) {
 			continue
 		}
 		e.attempts++
-		if err := c.jw.append(coordRecord{Kind: "lease", Key: e.key.Key(),
-			Worker: worker, Attempt: e.attempts}); err != nil {
+		if err := c.jw.AppendLease(journal.Lease{Key: e.key.Key(), Attempt: e.attempts}); err != nil {
 			c.fail(err)
 			return leaseResponse{}, err
 		}
@@ -633,10 +629,11 @@ func (c *coordinator) waitHintLocked(now time.Time) int64 {
 	return ms
 }
 
-// complete records a finished goal. Work is accepted even from a worker
-// whose lease was reclaimed — the record is already durable in its
-// shard, and synthesis is deterministic, so the copies agree; the merge
-// dedups and the report counts the late finish.
+// complete records a finished goal. Nothing is journaled: the worker
+// appended the record to its shard before reporting it. Work is
+// accepted even from a worker whose lease was reclaimed — synthesis is
+// deterministic, so the copies agree; the merge dedups and the report
+// counts the late finish.
 func (c *coordinator) complete(worker int, rec journal.GoalRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -649,11 +646,6 @@ func (c *coordinator) complete(worker int, rec journal.GoalRecord) error {
 		c.tr.Add("farm.complete.late", 1)
 		return nil
 	}
-	if err := c.jw.append(coordRecord{Kind: "done", Key: rec.Key(),
-		Worker: worker, Status: rec.Status}); err != nil {
-		c.fail(err)
-		return err
-	}
 	wasQuarantined := e.state == gsQuarantined
 	if e.state == gsLeased && e.owner != worker {
 		c.late++
@@ -663,8 +655,8 @@ func (c *coordinator) complete(worker int, rec journal.GoalRecord) error {
 	if !wasQuarantined {
 		c.remaining--
 	} else {
-		// A straggler outran its quarantine: keep the real record, drop
-		// the synthetic one at merge time (the key is now done).
+		// A straggler outran its quarantine: the merge reads its shard
+		// record before the quarantine record, so the real one wins.
 		for i, q := range c.quarantined {
 			if q == rec.Key() {
 				c.quarantined = append(c.quarantined[:i], c.quarantined[i+1:]...)
@@ -684,11 +676,6 @@ func (c *coordinator) complete(worker int, rec journal.GoalRecord) error {
 // reclaimLocked returns a leased goal to the pending pool (or
 // quarantines it past the attempt cap); c.mu held.
 func (c *coordinator) reclaimLocked(e *goalEntry, now time.Time, why string) {
-	if err := c.jw.append(coordRecord{Kind: "reclaim", Key: e.key.Key(),
-		Worker: e.owner, Attempt: e.attempts}); err != nil {
-		c.fail(err)
-		return
-	}
 	c.reclaimed++
 	c.tr.Add("farm.lease.reclaimed", 1)
 	c.tr.Eventf(obs.LevelWarn, "farm.lease.reclaim",
@@ -697,8 +684,12 @@ func (c *coordinator) reclaimLocked(e *goalEntry, now time.Time, why string) {
 		"farm: reclaiming lease %s from worker %d (%s, attempt %d)\n",
 		e.key.Key(), e.owner, why, e.attempts)
 	if e.attempts >= c.cfg.MaxAttempts {
-		if err := c.jw.append(coordRecord{Kind: "quarantine", Key: e.key.Key(),
-			Attempt: e.attempts}); err != nil {
+		if err := c.jw.Append(journal.GoalRecord{
+			Group: e.key.Group, Index: e.key.Index, Goal: e.key.Goal,
+			Status:   driver.StatusQuarantined.String(),
+			Attempts: e.attempts,
+			Err:      fmt.Sprintf("farm: quarantined after %d attempt(s)", e.attempts),
+		}); err != nil {
 			c.fail(err)
 			return
 		}
@@ -746,11 +737,9 @@ func (c *coordinator) reclaimLoop(stop <-chan struct{}) {
 	}
 }
 
-// heartbeatLoop scrapes every registered worker's telemetry: /metrics
-// answers "is the process serving at all", /goals answers "is synthesis
-// moving" (its live counters — counterexamples, multisets — change
-// while a goal runs). StallScrapes consecutive failures or no-progress
-// scrapes condemn the worker: it is killed, its exit reclaims its
+// heartbeatLoop scrapes every registered worker's /metrics, which
+// answers "is the process serving at all". stallScrapes consecutive
+// failures condemn the worker: it is killed, its exit reclaims its
 // leases, and the respawn budget decides whether it is replaced.
 func (c *coordinator) heartbeatLoop(stop <-chan struct{}) {
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -776,7 +765,7 @@ func (c *coordinator) heartbeatLoop(stop <-chan struct{}) {
 		}
 		c.mu.Unlock()
 		for _, p := range probes {
-			hash, err := scrapeWorker(client, p.telemetry)
+			err := scrapeWorker(client, p.telemetry)
 			if c.cfg.Faults.Active(failpoint.FarmHeartbeatDrop) {
 				err = errors.New("farm: injected heartbeat drop")
 			}
@@ -786,31 +775,19 @@ func (c *coordinator) heartbeatLoop(stop <-chan struct{}) {
 				c.mu.Unlock()
 				continue
 			}
-			leased := false
-			for _, e := range c.goals {
-				if e.state == gsLeased && e.owner == p.id {
-					leased = true
-					break
-				}
-			}
-			switch {
-			case err != nil:
-				ws.stalls++
-				c.tr.Add("farm.heartbeat.failed", 1)
-			case leased && hash == ws.lastHash:
-				// Holding a lease with frozen progress counters: wedged.
-				ws.stalls++
-				c.tr.Add("farm.heartbeat.stalled", 1)
-			default:
+			if err == nil {
 				ws.stalls = 0
+				c.mu.Unlock()
+				continue
 			}
-			ws.lastHash = hash
-			if ws.stalls >= c.cfg.StallScrapes {
+			ws.stalls++
+			c.tr.Add("farm.heartbeat.failed", 1)
+			if ws.stalls >= stallScrapes {
 				c.kills++
 				c.tr.Add("farm.worker.killed", 1)
 				c.tr.Eventf(obs.LevelWarn, "farm.worker.kill",
 					[]obs.Arg{obs.Int("worker", int64(p.id)), obs.Int("stalls", int64(ws.stalls))},
-					"farm: killing worker %d after %d failed/stalled heartbeat(s)\n", p.id, ws.stalls)
+					"farm: killing worker %d after %d failed heartbeat(s)\n", p.id, ws.stalls)
 				h := ws.handle
 				c.mu.Unlock()
 				h.Kill() // exit monitor reclaims leases and respawns
@@ -821,54 +798,17 @@ func (c *coordinator) heartbeatLoop(stop <-chan struct{}) {
 	}
 }
 
-// scrapeWorker probes one worker's telemetry: /metrics for liveness,
-// /goals for a progress fingerprint (an FNV hash of the live snapshot).
-func scrapeWorker(client *http.Client, base string) (uint64, error) {
+// scrapeWorker probes one worker's liveness: its /metrics must answer
+// 200.
+func scrapeWorker(client *http.Client, base string) error {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("farm: /metrics: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("farm: /metrics: HTTP %d", resp.StatusCode)
 	}
-	resp, err = client.Get(base + "/goals")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("farm: /goals: HTTP %d", resp.StatusCode)
-	}
-	h := fnv.New64a()
-	if _, err := io.Copy(h, io.LimitReader(resp.Body, 16<<20)); err != nil {
-		return 0, err
-	}
-	return h.Sum64(), nil
-}
-
-// snapshot renders the live lease table for GET /state.
-func (c *coordinator) snapshot() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := State{Granted: c.granted, Reclaimed: c.reclaimed, Respawns: c.respawns}
-	for _, e := range c.goals {
-		switch e.state {
-		case gsPending:
-			s.Pending++
-		case gsLeased:
-			s.Leased++
-		case gsDone:
-			s.Done++
-		case gsQuarantined:
-			s.Quarantined = append(s.Quarantined, e.key.Key())
-		}
-	}
-	for _, ws := range c.workers {
-		if ws.handle != nil {
-			s.Workers++
-		}
-	}
-	return s
+	return nil
 }

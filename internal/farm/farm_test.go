@@ -326,22 +326,21 @@ func TestSpawnFailpointConsumesBudget(t *testing.T) {
 	}
 }
 
-// TestHeartbeatKillsStalledWorker: a worker whose telemetry stops
-// moving while it holds a lease is killed by the heartbeat and its
+// TestHeartbeatKillsUnresponsiveWorker: a worker whose telemetry stops
+// answering while it holds a lease is killed by the heartbeat and its
 // lease reassigned; the run still completes byte-identically.
-func TestHeartbeatKillsStalledWorker(t *testing.T) {
+func TestHeartbeatKillsUnresponsiveWorker(t *testing.T) {
 	groups, opts, hdr := farmSetup()
 	baseLib, _, err := driver.Run(groups, opts)
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
 
-	// Frozen telemetry: always the same bytes, so the progress hash
-	// never changes.
-	frozen := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("frozen\n"))
+	// Unresponsive telemetry: every scrape fails.
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
-	defer frozen.Close()
+	defer down.Close()
 
 	var mu sync.Mutex
 	spawns := make(map[int]int)
@@ -353,12 +352,12 @@ func TestHeartbeatKillsStalledWorker(t *testing.T) {
 		spawns[id]++
 		mu.Unlock()
 		if id == 0 && n == 0 {
-			// A wedged worker: registers with the frozen telemetry,
-			// takes one lease, then hangs until killed.
+			// A wedged worker: registers with the unresponsive
+			// telemetry, takes one lease, then hangs until killed.
 			h := &goroutineHandle{kill: make(chan struct{}), done: make(chan error, 1)}
 			go func() {
 				cl := newClient(coordURL)
-				cl.post("/register", registerRequest{Worker: id, Header: hdr, Telemetry: frozen.URL}, nil)
+				cl.post("/register", registerRequest{Worker: id, Header: hdr, Telemetry: down.URL}, nil)
 				for {
 					var resp leaseResponse
 					if err := cl.post("/lease", leaseRequest{Worker: id}, &resp); err != nil || resp.Done {
@@ -383,11 +382,10 @@ func TestHeartbeatKillsStalledWorker(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 2,
-		Lease:        30 * time.Second, // expiry alone must not save this run
-		Heartbeat:    50 * time.Millisecond,
-		StallScrapes: 3,
-		Backoff:      10 * time.Millisecond,
-		Spawn:        spawn,
+		Lease:     30 * time.Second, // expiry alone must not save this run
+		Heartbeat: 50 * time.Millisecond,
+		Backoff:   10 * time.Millisecond,
+		Spawn:     spawn,
 	})
 	if err != nil {
 		t.Fatalf("farm run: %v", err)
@@ -459,6 +457,70 @@ func TestStopThenResume(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
 		t.Fatalf("stop+resume library differs from single-process run")
+	}
+}
+
+// TestResumeTakesDoneFromShards: a resumed farm takes a goal as done
+// when a shard holds its record. The coordinator journal of a farm
+// stopped before any lease holds no grant, while shard 0 holds every
+// goal's record; the resume must grant nothing, replay every goal, and
+// merge the single-process library.
+func TestResumeTakesDoneFromShards(t *testing.T) {
+	groups, opts, hdr := farmSetup()
+	baseLib, _, err := driver.Run(groups, opts)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	dir := t.TempDir()
+
+	// Workers that never lease, and a stop that is already requested.
+	idle := func(id int, coordURL, shard string) (Handle, error) {
+		h := &goroutineHandle{kill: make(chan struct{}), done: make(chan error, 1)}
+		go func() { <-h.kill; h.done <- nil }()
+		return h, nil
+	}
+	stop := make(chan struct{})
+	close(stop)
+	cfg := Config{
+		Groups: groups, Opts: opts, Header: hdr,
+		Dir: dir, Workers: 2,
+		Lease: 2 * time.Minute,
+		Spawn: idle, Stop: stop,
+	}
+	if _, rep, err := Run(cfg); !errors.Is(err, ErrStopped) || rep.Granted != 0 {
+		t.Fatalf("stopped farm: err %v, %d lease(s) granted; want ErrStopped and none", err, rep.Granted)
+	}
+
+	jw, err := journal.Create(ShardPath(dir, 0), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wopts := opts
+	wopts.Journal = jw
+	runner, err := driver.NewGoalRunner(groups, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := driver.GoalKeys(groups)
+	for _, k := range keys {
+		if _, err := runner.Run(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jw.Close()
+
+	cfg.Stop = nil
+	cfg.Resume = true
+	cfg.Spawn = inprocSpawner(groups, opts, hdr)
+	lib, rep, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("resumed farm run: %v", err)
+	}
+	if rep.Granted != 0 || rep.Replayed != len(keys) {
+		t.Fatalf("resume granted %d lease(s) and replayed %d goal(s); want 0 and %d", rep.Granted, rep.Replayed, len(keys))
+	}
+	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
+		t.Fatalf("resumed library differs from the single-process run")
 	}
 }
 

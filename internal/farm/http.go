@@ -1,11 +1,10 @@
 // The coordinator's HTTP surface and the worker-side client for it.
-// Four JSON endpoints: POST /register (worker announces itself with its
+// Three JSON endpoints: POST /register (worker announces itself with its
 // journal header — the coordinator applies journal.CheckHeader, so a
 // worker built for another ISA or configuration is refused before it
-// can contribute a single record), POST /lease (work assignment), POST
-// /complete (goal finished), GET /state (live lease-table snapshot for
-// operators and tests). Everything rides net/http over loopback; the
-// farm is a single-host process fleet, not a cluster.
+// can contribute a single record), POST /lease (work assignment) and
+// POST /complete (goal finished). Everything rides net/http over
+// loopback; the farm is a single-host process fleet, not a cluster.
 
 package farm
 
@@ -68,18 +67,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// State is the coordinator's live snapshot, served at GET /state.
-type State struct {
-	Pending     int      `json:"pending"`
-	Leased      int      `json:"leased"`
-	Done        int      `json:"done"`
-	Quarantined []string `json:"quarantined,omitempty"`
-	Workers     int      `json:"workers"`
-	Granted     int      `json:"leases_granted"`
-	Reclaimed   int      `json:"leases_reclaimed"`
-	Respawns    int      `json:"respawns"`
-}
-
 // serveHTTP wires the coordinator's endpoints onto a loopback listener.
 func (c *coordinator) serveHTTP() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -90,7 +77,6 @@ func (c *coordinator) serveHTTP() (string, error) {
 	mux.HandleFunc("/register", c.handleRegister)
 	mux.HandleFunc("/lease", c.handleLease)
 	mux.HandleFunc("/complete", c.handleComplete)
-	mux.HandleFunc("/state", c.handleState)
 	c.httpServer = &http.Server{Handler: mux}
 	go c.httpServer.Serve(ln)
 	return "http://" + ln.Addr().String(), nil
@@ -149,10 +135,6 @@ func (c *coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, struct{}{})
-}
-
-func (c *coordinator) handleState(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.snapshot())
 }
 
 // client is the worker's coordinator stub.

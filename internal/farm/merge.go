@@ -1,6 +1,8 @@
 // Shard merge: fold the workers' journal shards back into one record
-// set. Each shard's header is validated with journal.CheckHeader (a
-// shard written for another ISA or configuration is refused, same as a
+// set. The merge takes every shard in the farm directory, in ascending
+// worker id: a resume may run fewer workers than the run it continues.
+// Each shard's header is validated with journal.CheckHeader (a shard
+// written for another ISA or configuration is refused, same as a
 // cross-ISA resume), torn tails are tolerated (a SIGKILL'd worker's
 // last append), and duplicate records — a goal finished by two workers
 // after a lease reclaim — keep the first occurrence in ascending
@@ -14,11 +16,36 @@ package farm
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 
 	"selgen/internal/failpoint"
 	"selgen/internal/journal"
 	"selgen/internal/pattern"
 )
+
+// shardPaths lists the worker shards in dir (ShardPath's names), in
+// ascending worker id.
+func shardPaths(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("farm: %w", err)
+	}
+	var ids []int
+	for _, e := range ents {
+		var id int
+		if _, err := fmt.Sscanf(e.Name(), "worker-%d.journal", &id); err == nil &&
+			ShardPath(dir, id) == filepath.Join(dir, e.Name()) {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	paths := make([]string, len(ids))
+	for i, id := range ids {
+		paths[i] = ShardPath(dir, id)
+	}
+	return paths, nil
+}
 
 // mergeShards reads the shard journals at paths (missing files are
 // fine — a worker that never started has no shard) and merges their

@@ -107,79 +107,3 @@ func TestWriteLibraryFailpoint(t *testing.T) {
 		t.Fatalf("merged library not written: %v", err)
 	}
 }
-
-// TestCoordJournalRoundTrip: every lease-table transition survives the
-// write → crash → scan cycle, including a torn tail.
-func TestCoordJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	_, _, hdr := farmSetup()
-	path := filepath.Join(dir, "coordinator.journal")
-
-	jw, err := createCoordJournal(path, hdr, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appends := []coordRecord{
-		{Kind: "shard", Worker: 0, Path: "/d/worker-0.journal"},
-		{Kind: "shard", Worker: 1, Path: "/d/worker-1.journal"},
-		{Kind: "lease", Key: "Quick/0/a", Worker: 0, Attempt: 1},
-		{Kind: "lease", Key: "Quick/1/b", Worker: 1, Attempt: 1},
-		{Kind: "done", Key: "Quick/0/a", Worker: 0, Status: "ok"},
-		{Kind: "reclaim", Key: "Quick/1/b", Worker: 1, Attempt: 1},
-		{Kind: "lease", Key: "Quick/1/b", Worker: 0, Attempt: 2},
-		{Kind: "quarantine", Key: "Quick/1/b", Attempt: 2},
-	}
-	for _, r := range appends {
-		if err := jw.append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the tail: a crash mid-append.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, []byte(`{"kind":"lease","key":"Qu`)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jw2, recov, err := resumeCoordJournal(path, hdr, nil)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	defer jw2.close()
-	if recov.Workers != 2 || len(recov.Shards) != 2 {
-		t.Fatalf("recovered workers=%d shards=%v", recov.Workers, recov.Shards)
-	}
-	if recov.Attempts["Quick/0/a"] != 1 || recov.Attempts["Quick/1/b"] != 2 {
-		t.Fatalf("attempts not rebuilt: %v", recov.Attempts)
-	}
-	if recov.Done["Quick/0/a"] != "ok" || len(recov.Done) != 1 {
-		t.Fatalf("done set not rebuilt: %v", recov.Done)
-	}
-	if !recov.Quarantined["Quick/1/b"] {
-		t.Fatalf("quarantine not rebuilt: %v", recov.Quarantined)
-	}
-	if recov.TruncatedBytes == 0 {
-		t.Fatalf("torn tail not detected")
-	}
-	// The torn tail was truncated: appends now extend an intact file.
-	if err := jw2.append(coordRecord{Kind: "done", Key: "Quick/2/c", Worker: 0, Status: "ok"}); err != nil {
-		t.Fatal(err)
-	}
-	jw2.close()
-	if _, recov2, err := resumeCoordJournal(path, hdr, nil); err != nil || recov2.TruncatedBytes != 0 {
-		t.Fatalf("re-resume after truncation: %v (torn %d bytes)", err, recov2.TruncatedBytes)
-	}
-
-	// Header mismatch is the same refusal resume applies.
-	bad := hdr
-	bad.Target = "riscv"
-	if _, _, err := resumeCoordJournal(path, bad, nil); err == nil {
-		t.Fatalf("coordinator journal resumed across ISAs")
-	}
-}

@@ -12,6 +12,7 @@ package journal
 
 import (
 	"hash/fnv"
+	"maps"
 	"testing"
 )
 
@@ -22,18 +23,21 @@ var fuzzHeader = Header{Version: Version, Setup: "quick", Width: 8, ConfigHash: 
 
 func FuzzJournalScan(f *testing.F) {
 	// Seeds mirror testdata/fuzz/FuzzJournalScan: a clean journal, a
-	// torn tail, a duplicate, goal-before-header, and raw garbage. Both
+	// torn tail, a duplicate, goal-before-header, raw garbage, and lease
+	// grants. Both
 	// sets feed the same generator; the checked-in corpus keeps the
 	// interesting shapes under version control.
 	hdr := `{"kind":"header","header":{"version":1,"setup":"quick","width":8,"configHash":"abc123"}}`
 	goal := func(i byte) string {
 		return `{"kind":"goal","goal":{"group":"Quick","index":` + string('0'+i) + `,"goal":"g","status":"ok","minLen":1}}`
 	}
+	lease := `{"kind":"lease","lease":{"key":"Quick/0/g","attempt":2}}`
 	f.Add([]byte(hdr + "\n" + goal(0) + "\n" + goal(1) + "\n"))
 	f.Add([]byte(hdr + "\n" + goal(0) + "\n" + goal(1)[:20]))
 	f.Add([]byte(hdr + "\n" + goal(0) + "\n" + goal(0) + "\n"))
 	f.Add([]byte(goal(0) + "\n" + hdr + "\n"))
 	f.Add([]byte("not json at all\n\x00\xff{"))
+	f.Add([]byte(hdr + "\n" + lease + "\n" + goal(0) + "\n" + lease[:25]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := scanData(data, fuzzHeader)
@@ -54,7 +58,7 @@ func FuzzJournalScan(f *testing.F) {
 		if again.TruncatedBytes != 0 {
 			t.Fatalf("truncation not idempotent: second scan wants %d more bytes gone", again.TruncatedBytes)
 		}
-		if !equalGoals(rec.Goals, again.Goals) || again.Header != rec.Header {
+		if !equalGoals(rec.Goals, again.Goals) || again.Header != rec.Header || !maps.Equal(rec.Attempts, again.Attempts) {
 			t.Fatalf("truncation changed the recovery: %d goals then %d", len(rec.Goals), len(again.Goals))
 		}
 
@@ -75,6 +79,11 @@ func FuzzJournalScan(f *testing.F) {
 			}
 			if !equalGoals(pre.Goals, rec.Goals[:len(pre.Goals)]) {
 				t.Fatalf("prefix recovery is not a prefix of the full recovery at cut %d", cut)
+			}
+			for key, n := range pre.Attempts {
+				if n > rec.Attempts[key] {
+					t.Fatalf("prefix recovered attempt %d for %s, the whole only %d", n, key, rec.Attempts[key])
+				}
 			}
 		}
 	})
@@ -101,6 +110,7 @@ func equalGoals(a, b []GoalRecord) bool {
 func TestScanFuzzSeedsDirect(t *testing.T) {
 	hdr := `{"kind":"header","header":{"version":1,"setup":"quick","width":8,"configHash":"abc123"}}`
 	goal := `{"kind":"goal","goal":{"group":"Quick","index":0,"goal":"g","status":"ok","minLen":1}}`
+	lease := `{"kind":"lease","lease":{"key":"Quick/0/g","attempt":1}}`
 	for _, tc := range []struct {
 		name  string
 		data  string
@@ -112,6 +122,8 @@ func TestScanFuzzSeedsDirect(t *testing.T) {
 		{"torn tail", hdr + "\n" + goal + "\n" + goal[:30], 1, true, false},
 		{"duplicate kept-first", hdr + "\n" + goal + "\n" + goal + "\n", 1, false, false},
 		{"goal before header", goal + "\n" + hdr + "\n", 0, false, true},
+		{"lease", hdr + "\n" + lease + "\n" + goal + "\n", 1, false, false},
+		{"lease before header", lease + "\n" + hdr + "\n", 0, false, true},
 		{"corrupt mid-file", hdr + "\n{broken\n" + goal + "\n", 0, false, true},
 	} {
 		rec, err := scanData([]byte(tc.data), fuzzHeader)

@@ -9,10 +9,11 @@
 // an uninterrupted run would have produced (synthesis is deterministic
 // per goal, and the driver merges results in goal order).
 //
-// File format: line 1 is a header record, every further line one goal
-// record. Records are single-line JSON objects with a "kind"
-// discriminator. Appends are atomic at the record level: one Write call
-// for the whole line, followed by File.Sync. A crash mid-append leaves
+// File format: line 1 is a header record, every further line a goal
+// record or a lease record (the farm coordinator's grants, see Lease).
+// Records are single-line JSON objects with a "kind" discriminator.
+// Appends are atomic at the record level: one Write call for the whole
+// line, followed by File.Sync. A crash mid-append leaves
 // a final line without a terminating newline (or an unparsable JSON
 // prefix); Resume truncates the file back to the last intact record.
 // A duplicate goal entry is tolerated — the first occurrence wins, and
@@ -89,11 +90,21 @@ func Key(group string, index int, goal string) string {
 	return fmt.Sprintf("%s/%d/%s", group, index, goal)
 }
 
+// Lease is one farm lease grant: the goal's key and the grant's
+// attempt number. The farm coordinator journals every grant, so a
+// resumed coordinator continues each goal's attempt count (and with it
+// the backoff and quarantine ladder) instead of starting it afresh.
+type Lease struct {
+	Key     string `json:"key"`
+	Attempt int    `json:"attempt"`
+}
+
 // record is the on-disk line envelope.
 type record struct {
-	Kind   string      `json:"kind"` // "header" or "goal"
+	Kind   string      `json:"kind"` // "header", "goal" or "lease"
 	Header *Header     `json:"header,omitempty"`
 	Goal   *GoalRecord `json:"goal,omitempty"`
+	Lease  *Lease      `json:"lease,omitempty"`
 }
 
 // Writer appends records to a journal file. Safe for concurrent use
@@ -136,9 +147,19 @@ func (w *Writer) writeHeader(h Header) error {
 // in a single Write call and fsync'd before Append returns, so the
 // record survives any crash that happens afterwards.
 func (w *Writer) Append(g GoalRecord) error {
-	buf, err := json.Marshal(record{Kind: "goal", Goal: &g})
+	return w.appendRecord(record{Kind: "goal", Goal: &g}, g.Key())
+}
+
+// AppendLease durably records one lease grant, with Append's discipline
+// and failpoints.
+func (w *Writer) AppendLease(l Lease) error {
+	return w.appendRecord(record{Kind: "lease", Lease: &l}, "lease "+l.Key)
+}
+
+func (w *Writer) appendRecord(r record, what string) error {
+	buf, err := json.Marshal(r)
 	if err != nil {
-		return fmt.Errorf("journal: encoding %s: %w", g.Key(), err)
+		return fmt.Errorf("journal: encoding %s: %w", what, err)
 	}
 	buf = append(buf, '\n')
 	if w.Faults.Active(failpoint.JournalTornWrite) {
@@ -148,7 +169,7 @@ func (w *Writer) Append(g GoalRecord) error {
 		w.f.Write(buf[:len(buf)/2])
 		w.f.Sync()
 		w.mu.Unlock()
-		return fmt.Errorf("journal: injected torn write for %s", g.Key())
+		return fmt.Errorf("journal: injected torn write for %s", what)
 	}
 	if err := w.append(buf); err != nil {
 		return err
@@ -202,6 +223,9 @@ type Recovered struct {
 	// surface these (driver.journal.duplicate) rather than trusting the
 	// first occurrence silently.
 	Duplicates []string
+	// Attempts is the highest lease attempt recorded per goal key (nil
+	// when the journal holds no lease record).
+	Attempts map[string]int
 	// TruncatedBytes counts torn-tail bytes dropped from the file
 	// (zero for a cleanly written journal).
 	TruncatedBytes int
@@ -346,6 +370,17 @@ func scanData(data []byte, want Header) (*Recovered, error) {
 				seen[key] = true
 				rec.Goals = append(rec.Goals, *r.Goal)
 			}
+		case "lease":
+			if !sawHeader {
+				return nil, fmt.Errorf("journal: lease record before header at byte %d", off)
+			}
+			if r.Lease == nil {
+				return nil, fmt.Errorf("journal: lease record without body at byte %d", off)
+			}
+			if rec.Attempts == nil {
+				rec.Attempts = make(map[string]int)
+			}
+			rec.Attempts[r.Lease.Key] = max(rec.Attempts[r.Lease.Key], r.Lease.Attempt)
 		default:
 			return nil, fmt.Errorf("journal: unknown record kind %q at byte %d", r.Kind, off)
 		}

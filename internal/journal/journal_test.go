@@ -82,6 +82,60 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeaseRoundTrip: the farm coordinator's records — lease grants and
+// a quarantine goal record — survive the write → crash → resume cycle,
+// including a torn tail.
+func TestLeaseRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coordinator.journal")
+	w := mustCreate(t, path)
+	for _, l := range []Lease{{"Quick/0/a", 1}, {"Quick/1/b", 1}, {"Quick/1/b", 2}} {
+		if err := w.AppendLease(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quarantine := GoalRecord{Group: "Quick", Index: 1, Goal: "b", Status: "quarantined",
+		Attempts: 2, Err: "farm: quarantined after 2 attempt(s)"}
+	if err := w.Append(quarantine); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the tail: a crash mid-append.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := `{"kind":"lease","lease":{"key":"Qu`
+	f.WriteString(torn)
+	f.Close()
+
+	w2, rec, err := Resume(path, testHeader)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if rec.TruncatedBytes != len(torn) {
+		t.Fatalf("truncated %d bytes, want the %d-byte torn tail", rec.TruncatedBytes, len(torn))
+	}
+	if len(rec.Attempts) != 2 || rec.Attempts["Quick/0/a"] != 1 || rec.Attempts["Quick/1/b"] != 2 {
+		t.Fatalf("attempts not rebuilt: %v", rec.Attempts)
+	}
+	if len(rec.Goals) != 1 || rec.Goals[0].Key() != quarantine.Key() ||
+		rec.Goals[0].Status != "quarantined" || rec.Goals[0].Attempts != 2 || rec.Goals[0].Err != quarantine.Err {
+		t.Fatalf("quarantine record not rebuilt: %+v", rec.Goals)
+	}
+	// The torn tail was truncated: appends now extend an intact file.
+	if err := w2.AppendLease(Lease{"Quick/0/a", 2}); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	rec2, err := Read(path, testHeader)
+	if err != nil || rec2.TruncatedBytes != 0 || rec2.Attempts["Quick/0/a"] != 2 {
+		t.Fatalf("re-read after truncation: %v (torn %d bytes, attempts %v)", err, rec2.TruncatedBytes, rec2.Attempts)
+	}
+}
+
 // A crash mid-append leaves a record prefix with no newline; Resume
 // must drop exactly the torn tail and keep every intact record.
 func TestTruncatedTailRecovers(t *testing.T) {

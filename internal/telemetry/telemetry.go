@@ -9,8 +9,8 @@
 //     the live obs.Registry: counters as monotonic counters, gauges as
 //     gauges, histograms as count/sum/quantile summaries, plus
 //     goroutine/heap/GC runtime gauges sampled into the registry at
-//     scrape time. This is the surface a future coordinator scrapes
-//     from each worker of the distributed synthesis farm.
+//     scrape time. The synthesis farm's coordinator scrapes it from
+//     each worker as a liveness heartbeat.
 //   - /goals — the driver's per-goal live run state (driver.RunState)
 //     as JSON, or a minimal HTML table for browsers (?format=html or
 //     an Accept header preferring text/html). A stuck goal is visible

@@ -70,16 +70,20 @@ go run ./cmd/selgen -setup quick -timeout 2m \
 	-o "$tmpdir/quick.json" -trace "$tmpdir/trace.json" >/dev/null
 go run scripts/validatetrace.go "$tmpdir/trace.json"
 
-# -sat-workers is a compatibility stub: the SAT search is sequential,
-# so more than one worker is a usage error (exit 2) before any goal
-# starts.
+# Options outside their range are usage errors (exit 2) before any goal
+# starts: -sat-workers is a compatibility stub (the SAT search is
+# sequential, so more than one worker is refused), and the retry-ladder
+# depth cannot be negative.
 go build -o "$tmpdir/selgen" ./cmd/selgen
-rc=0
-"$tmpdir/selgen" -setup quick -sat-workers 2 -o "$tmpdir/stub.json" >/dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-	echo "ci.sh: selgen -sat-workers 2 exited $rc, want 2" >&2
-	exit 1
-fi
+for flags in "-sat-workers 2" "-max-retries -1"; do
+	rc=0
+	# $flags stays unquoted: it is a flag and its value.
+	"$tmpdir/selgen" -setup quick $flags -o "$tmpdir/stub.json" >/dev/null 2>&1 || rc=$?
+	if [ "$rc" -ne 2 ]; then
+		echo "ci.sh: selgen $flags exited $rc, want 2" >&2
+		exit 1
+	fi
+done
 
 # Kill-and-resume smoke test: SIGKILL selgen mid-run (the journal.kill
 # failpoint delivers an uncatchable kill right after the 2nd goal
