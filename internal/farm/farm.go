@@ -385,10 +385,21 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 // ladder continues where the dead coordinator left it) and its
 // quarantines. A lease without a completion simply lapses: the goal
 // returns to the pending pool with its attempt count intact.
+//
+// A worker of the dead coordinator may still be finishing its goal: it
+// appends the record to its shard, fails to report it, and exits. So
+// the shards are read only once no process holds one (journal's
+// single-writer lock), waiting at most one lease; the late record then
+// counts as done instead of being leased again.
 func (c *coordinator) resume() error {
 	paths, err := shardPaths(c.cfg.Dir)
 	if err != nil {
 		return err
+	}
+	for _, p := range paths {
+		if err := journal.WaitUnlocked(p, c.cfg.Lease); err != nil {
+			return fmt.Errorf("farm: resume waited %s for a shard's writer: %w", c.cfg.Lease, err)
+		}
 	}
 	done, _, err := mergeShards(c.cfg.Header, paths)
 	if err != nil {

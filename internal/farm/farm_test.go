@@ -524,6 +524,72 @@ func TestResumeTakesDoneFromShards(t *testing.T) {
 	}
 }
 
+// TestResumeWaitsForShardWriter: a worker of a killed coordinator may
+// still be finishing a goal when the resume starts. Here a stand-in
+// writer holds shard 0, appends the first goal's record a little later,
+// and closes the shard. The resume must wait for it, take that goal as
+// done without leasing it, merge no duplicate, and write the
+// single-process library.
+func TestResumeWaitsForShardWriter(t *testing.T) {
+	groups, opts, hdr := farmSetup()
+	baseLib, _, err := driver.Run(groups, opts)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	dir := t.TempDir()
+	cj, err := journal.Create(CoordJournalPath(dir), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cj.Close()
+
+	jw, err := journal.Create(ShardPath(dir, 0), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wopts := opts
+	wopts.Journal = jw
+	runner, err := driver.NewGoalRunner(groups, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := driver.GoalKeys(groups)[0]
+	werr := make(chan error, 1)
+	go func() {
+		time.Sleep(200 * time.Millisecond)
+		_, err := runner.Run(late)
+		if cerr := jw.Close(); err == nil {
+			err = cerr
+		}
+		werr <- err
+	}()
+
+	lib, rep, err := Run(Config{
+		Groups: groups, Opts: opts, Header: hdr,
+		Dir: dir, Workers: 1, Lease: 2 * time.Minute, Resume: true,
+		Spawn: inprocSpawner(groups, opts, hdr),
+	})
+	if err := <-werr; err != nil {
+		t.Fatalf("stand-in shard writer: %v", err)
+	}
+	if err != nil {
+		t.Fatalf("resumed farm run: %v", err)
+	}
+	if rep.Replayed != 1 || rep.Duplicates != 0 {
+		t.Fatalf("resume replayed %d goal(s) with %d shard duplicate(s); want 1 and 0", rep.Replayed, rep.Duplicates)
+	}
+	coord, err := journal.Read(CoordJournalPath(dir), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := coord.Attempts[late.Key()]; n != 0 {
+		t.Fatalf("the resume leased %s (attempt %d) while its shard writer was finishing it", late.Key(), n)
+	}
+	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
+		t.Fatalf("resumed library differs from the single-process run")
+	}
+}
+
 // TestRunWaitsForKilledWorkers: Run must not return while a killed
 // worker is still writing. An in-process worker stopped mid-goal
 // finishes the goal and appends it to its shard; this worker delays

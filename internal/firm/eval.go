@@ -25,10 +25,7 @@ func (g *Graph) Exec(params []uint64, mem map[uint64]uint64) (*ExecResult, error
 		return nil, fmt.Errorf("firm: %s takes %d params, got %d", g.Name, len(g.params), len(params))
 	}
 	b := bv.NewBuilder()
-	cm := sem.NewConcreteMem(b, g.Width)
-	for a, v := range mem {
-		cm.Cells[a] = v & bv.Mask(g.Width)
-	}
+	cm := sem.NewConcreteMem(b, g.Width, mem)
 	ctx := &sem.Ctx{B: b, Width: g.Width, Mem: cm}
 	memTok := b.Const(0, 1) // placeholder M-value token
 

@@ -2,6 +2,7 @@ package isel
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -253,7 +254,7 @@ func TestReturnedProgramsStayIndependent(t *testing.T) {
 	kept := -1
 	var prog *mach.Program
 	for i, g := range graphs {
-		if p := selectOne(g); slices.ContainsFunc(p.Instrs, func(in mach.Instr) bool { return len(in.Imms) > 0 }) {
+		if p := selectOne(g); slices.ContainsFunc(p.Instrs, func(in mach.Instr) bool { return in.Imms.Len > 0 }) {
 			kept, prog = i, p
 			break
 		}
@@ -278,6 +279,45 @@ func TestReturnedProgramsStayIndependent(t *testing.T) {
 		t.Fatalf("%s: selecting the graph again gave\n%s\nfirst selection:\n%s", graphs[kept].Name, again, want)
 	}
 	check("selecting the graph again")
+}
+
+// TestSelectedProgramHoldsNoPointers: the records a warm Select writes
+// per node and per instruction — the program's instructions, values,
+// spans and immediates, and the matcher's match and binding records —
+// hold no pointers, so writing them takes no GC write barrier and the
+// collector never scans their arrays.
+func TestSelectedProgramHoldsNoPointers(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[mach.Instr](), reflect.TypeFor[mach.Imm](),
+		reflect.TypeFor[mach.Value](), reflect.TypeFor[mach.Span](),
+		reflect.TypeFor[match](), reflect.TypeFor[binding](),
+	} {
+		if path := pointerPath(typ); path != "" {
+			t.Errorf("%s holds a pointer: %s", typ, path)
+		}
+	}
+}
+
+// pointerPath names the first part of typ whose kind holds a pointer,
+// or returns "" when there is none.
+func pointerPath(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return typ.String()
+	case reflect.Array:
+		if p := pointerPath(typ.Elem()); p != "" {
+			return "element " + p
+		}
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerPath(f.Type); p != "" {
+				return "field " + f.Name + " " + p
+			}
+		}
+	}
+	return ""
 }
 
 // TestNewLeavesCallerLibraryUntouched pins the satellite fix: New must

@@ -61,7 +61,7 @@ func TestFallbackGoalsResolve(t *testing.T) {
 	var sc selection
 	sc.reset(sel, g)
 	for _, n := range nodes {
-		if sc.fallbackGoal(n) == nil {
+		if sc.fallbackGoal(n) < 0 {
 			t.Errorf("no fallback for %s", n)
 		}
 	}

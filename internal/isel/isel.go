@@ -78,10 +78,10 @@ type SelStats struct {
 // counters and its pool of per-call scratch state) and safe for
 // concurrent Select calls.
 type Selector struct {
-	// Compiled is the indexed rule library, built once in New.
+	// Compiled is the indexed rule library, built once in New. Its goal
+	// table (pattern.CompiledLibrary.Goals) is the Goals table of every
+	// program the Selector returns.
 	Compiled *pattern.CompiledLibrary
-	// Goals resolves goal names to semantic models.
-	Goals map[string]*sem.Instr
 	// Fallback enables per-node translation of uncovered operations.
 	Fallback bool
 	// Linear forces the legacy one-rule-at-a-time scan over the whole
@@ -108,11 +108,11 @@ type Selector struct {
 
 // New returns a selector over the given library and goal registry. The
 // library is compiled (commutative expansion, specificity sort, shape
-// indexing) eagerly here; the caller's library is left untouched.
+// indexing, goal table) eagerly here; the caller's library is left
+// untouched.
 func New(lib *pattern.Library, goals map[string]*sem.Instr, fallback bool) *Selector {
 	return &Selector{
 		Compiled: pattern.Compile(lib, goals),
-		Goals:    goals,
 		Fallback: fallback,
 	}
 }
@@ -128,17 +128,14 @@ func (s *Selector) Stats() SelStats {
 	}
 }
 
-// match is one decided rule application.
-type match struct {
-	cr *pattern.CompiledRule
-	// nodeMap maps pattern node index → graph node ID.
-	nodeMap []int32
-	// argBind maps pattern argument index → graph ref feeding it (node
-	// -1 when the pattern never references the argument). An
-	// immediate argument binds a Const node, whose value the
-	// instruction encodes.
-	argBind []binding
-}
+// match is one decided rule application: the compiled rule's index
+// and the offsets of its maps in nodeArena (pattern node index → graph
+// node ID) and argArena (pattern argument index → the graph ref feeding
+// it, node -1 when the pattern never references the argument; an
+// immediate argument binds a Const node, whose value the instruction
+// encodes). The maps are as long as the rule's pattern has nodes and
+// arguments.
+type match struct{ rule, node, arg int32 }
 
 // binding is a graph ref as plain integers: the ID of its node (-1 for
 // none) and its result.
@@ -158,7 +155,9 @@ const (
 // result lives in slices indexed by node ID or firm.Ref.Index; the
 // slices are recycled through Selector.states, so a warm Select
 // allocates only the program it returns. A state serves one call at a
-// time, and the program never aliases it.
+// time, and the program never aliases it. The per-node loops store no
+// pointers into it: matches and bindings are plain integers, and the
+// rule and root of an attempt travel as arguments.
 type selection struct {
 	s *Selector
 	c *pattern.CompiledLibrary
@@ -173,13 +172,14 @@ type selection struct {
 	// The op set of the last graph and what selection needs of each
 	// of its operations, resolved once per op set (a suite's graphs
 	// share one) and kept while the next graph has the same one: the
-	// op's pattern.OpID and fallback goal, the index of Cmp, whose
-	// goal depends on its relation, and the relation → goal table.
+	// op's pattern.OpID and fallback goal (an index into the goal
+	// table, -1 for none), the index of Cmp, whose goal depends on its
+	// relation, and the relation → goal table.
 	ops   []*sem.Instr
 	opIDs []pattern.OpID
-	opFB  []*sem.Instr
+	opFB  []int32
 	cmpOp int
-	cmpFB []*sem.Instr
+	cmpFB []int32
 
 	// tok[id] is node id's trie token (pattern.CompiledLibrary.NodeToken).
 	tok []pattern.Token
@@ -195,23 +195,17 @@ type selection struct {
 	nodeArena []int32
 	argArena  []binding
 
-	// The attempt in progress: its rule, root, and maps.
-	cr      *pattern.CompiledRule
-	root    *firm.Node
+	// The maps of the attempt in progress.
 	nodeMap []int32
 	argBind []binding
 
 	feeders []pattern.Token
 	cand    []int
 
-	// Emission: the program, the machine value of each emitted graph
-	// ref (-1 until emitted), and the two arrays the program's slices
-	// are carved from: one for every instruction's operands and
-	// results and the returned values, one for the immediates.
-	prog   *mach.Program
-	vals   []mach.Value
-	valBuf []mach.Value
-	immBuf []mach.Imm
+	// Emission: the program, and the machine value of each emitted
+	// graph ref (-1 until emitted).
+	prog *mach.Program
+	vals []mach.Value
 }
 
 // reset readies x for selecting g with s.
@@ -224,6 +218,7 @@ func (x *selection) reset(s *Selector, g *firm.Graph) {
 	x.retained = sized(x.retained, g.NumRefs())
 	x.rooted = sized(x.rooted, len(nodes))
 	x.vals = sized(x.vals, g.NumRefs())
+	x.matches, x.nodeArena, x.argArena = x.matches[:0], x.nodeArena[:0], x.argArena[:0]
 
 	if ops := g.Ops(); !slices.Equal(x.ops, ops) {
 		x.resolveOps(ops)
@@ -252,25 +247,26 @@ func (x *selection) resolveOps(ops []*sem.Instr) {
 	x.opIDs, x.opFB, x.cmpOp = x.opIDs[:0], x.opFB[:0], -1
 	for i, o := range ops {
 		x.opIDs = append(x.opIDs, x.c.OpID(o.Name))
-		var goal *sem.Instr
+		goal := int32(-1)
 		if name, ok := fb.Direct[o.Name]; ok {
-			goal = x.s.Goals[name]
+			goal = x.c.GoalIndex(name)
 		} else if o.Name == "Cmp" {
 			x.cmpOp = i
 		} else if o.Name == "Const" {
-			goal = x.s.Goals[fb.Const]
+			goal = x.c.GoalIndex(fb.Const)
 		}
 		x.opFB = append(x.opFB, goal)
 	}
 	x.cmpFB = x.cmpFB[:0]
 	for rel := 0; rel < ir.NumRelations; rel++ {
-		x.cmpFB = append(x.cmpFB, x.s.Goals[fb.Cmp[rel]])
+		x.cmpFB = append(x.cmpFB, x.c.GoalIndex(fb.Cmp[rel]))
 	}
 }
 
 // fallbackGoal maps an IR node to a single machine instruction using
-// the goals resolveOps found for its operation, or nil.
-func (x *selection) fallbackGoal(n *firm.Node) *sem.Instr {
+// the goals resolveOps found for its operation: its index in the goal
+// table, or -1.
+func (x *selection) fallbackGoal(n *firm.Node) int32 {
 	oi := n.OpIndex()
 	if oi != x.cmpOp {
 		return x.opFB[oi]
@@ -278,17 +274,14 @@ func (x *selection) fallbackGoal(n *firm.Node) *sem.Instr {
 	if rel := n.Internals[0]; rel < uint64(len(x.cmpFB)) {
 		return x.cmpFB[rel]
 	}
-	return nil
+	return -1
 }
 
-// release drops x's references into the graph, the library and the
-// program, so a pooled state keeps none of them alive. The resolved op
-// set stays for the next call; it pins only the operations and goals
-// it names.
+// release drops x's references into the graph and the program, so a
+// pooled state keeps neither alive. The resolved op set stays for the
+// next call; it pins only the operations it names.
 func (x *selection) release() {
-	clear(x.matches)
-	x.matches, x.nodeArena, x.argArena = x.matches[:0], x.nodeArena[:0], x.argArena[:0]
-	x.s, x.c, x.g, x.nodes, x.cr, x.root, x.prog, x.valBuf, x.immBuf = nil, nil, nil, nil, nil, nil, nil, nil, nil
+	x.g, x.nodes, x.prog = nil, nil, nil
 }
 
 // Select translates one graph. Without fallback it fails when a live
@@ -342,17 +335,18 @@ func (x *selection) decide() {
 			continue // pseudo, swallowed, or dead
 		}
 		x.st.Nodes++
-		if cr := x.firstMatch(n); cr != nil {
+		if ri := x.firstMatch(n); ri >= 0 {
+			cr := x.c.At(ri)
 			x.st.Matches++
 			x.dec[n.ID] = decRoot
 			x.operands += len(cr.Rule.Pattern.ArgKinds) + len(cr.Goal.Results)
-			m := x.keep(cr)
-			for _, id := range m.nodeMap {
+			x.keep(ri, n)
+			for _, id := range x.nodeMap {
 				if int(id) != n.ID && !isShareable(x.nodes[id].Op) {
 					x.dec[id] = decInterior
 				}
 			}
-			for ai, b := range m.argBind {
+			for ai, b := range x.argBind {
 				// An immediate, or an argument the pattern never
 				// references, is encoded in the instruction.
 				if b.node < 0 || cr.Rule.Pattern.ArgKinds[ai] == sem.KindImm {
@@ -379,46 +373,44 @@ func (x *selection) decide() {
 	}
 }
 
-// firstMatch returns the first rule, in specificity rank, that matches
-// rooted at n (leaving its maps in x.nodeMap and x.argBind), or nil.
-func (x *selection) firstMatch(n *firm.Node) *pattern.CompiledRule {
+// firstMatch returns the index of the first rule, in specificity rank,
+// that matches rooted at n (leaving its maps in x.nodeMap and
+// x.argBind), or -1.
+func (x *selection) firstMatch(n *firm.Node) int {
 	if x.s.Linear {
 		for ri := 0; ri < x.c.NumRules(); ri++ {
 			x.st.RulesTried++
-			if cr := x.c.At(ri); x.tryMatch(cr, n) {
-				return cr
+			if x.tryMatch(x.c.At(ri), n) {
+				return ri
 			}
 		}
-		return nil
+		return -1
 	}
 	x.feeders = x.feeders[:0]
 	for ai, a := range n.Args {
 		x.feeders = append(x.feeders, x.tok[a.ID].WithResult(n.ArgResult(ai)))
 	}
-	var visits int
-	x.cand, visits = x.c.Lookup(x.tok[n.ID], x.feeders, x.cand[:0])
+	cand, visits := x.c.Lookup(x.tok[n.ID], x.feeders, x.cand[:0])
+	if cap(cand) != cap(x.cand) {
+		x.cand = cand // keep the grown buffer
+	}
 	x.st.TrieVisits += int64(visits)
-	for _, ri := range x.cand {
+	for _, ri := range cand {
 		x.st.RulesTried++
-		if cr := x.c.At(ri); x.tryMatch(cr, n) {
-			return cr
+		if x.tryMatch(x.c.At(ri), n) {
+			return ri
 		}
 	}
-	return nil
+	return -1
 }
 
-// keep records the successful attempt's maps as n's match.
-func (x *selection) keep(cr *pattern.CompiledRule) *match {
-	ns, as := len(x.nodeArena), len(x.argArena)
+// keep records the successful attempt's maps as the match of rule ri
+// rooted at root.
+func (x *selection) keep(ri int, root *firm.Node) {
+	x.rooted[root.ID] = int32(len(x.matches))
+	x.matches = append(x.matches, match{int32(ri), int32(len(x.nodeArena)), int32(len(x.argArena))})
 	x.nodeArena = append(x.nodeArena, x.nodeMap...)
 	x.argArena = append(x.argArena, x.argBind...)
-	x.rooted[x.root.ID] = int32(len(x.matches))
-	x.matches = append(x.matches, match{
-		cr:      cr,
-		nodeMap: x.nodeArena[ns:len(x.nodeArena):len(x.nodeArena)],
-		argBind: x.argArena[as:len(x.argArena):len(x.argArena)],
-	})
-	return &x.matches[len(x.matches)-1]
 }
 
 // isShareable reports whether a matched interior node may also be used
@@ -437,17 +429,17 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// filled returns s resliced to n elements set to v, reallocating only
-// when its capacity is short.
-func filled[T any](s []T, n int, v T) []T {
-	if cap(s) < n {
-		s = make([]T, n)
+// refill reslices *s to n elements set to v. It stores a new array only
+// when the capacity is short, so a warm call writes no pointer (and
+// takes no GC write barrier).
+func refill[T any](s *[]T, n int, v T) {
+	if cap(*s) < n {
+		*s = make([]T, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = v
+	*s = (*s)[:n]
+	for i := range *s {
+		(*s)[i] = v
 	}
-	return s
 }
 
 // tryMatch attempts to match the rule's pattern with its primary
@@ -461,10 +453,9 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 		return false
 	}
 	p := &cr.Rule.Pattern
-	x.cr, x.root = cr, n
-	x.nodeMap = filled(x.nodeMap, len(p.Nodes), -1)
-	x.argBind = filled(x.argBind, len(p.ArgKinds), binding{node: -1})
-	if !x.matchNode(cr.Root, n) {
+	refill(&x.nodeMap, len(p.Nodes), -1)
+	refill(&x.argBind, len(p.ArgKinds), binding{node: -1})
+	if !x.matchNode(cr, n, cr.Root, n) {
 		return false
 	}
 	for _, id := range x.nodeMap {
@@ -482,7 +473,7 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 		}
 		hidden := false
 		for rr := 0; rr < gn.NumResults(); rr++ {
-			if x.exposed(id, rr) {
+			if x.exposed(cr, id, rr) {
 				continue
 			}
 			if x.retained[firm.Ref{Node: gn, Result: rr}.Index()] {
@@ -502,7 +493,7 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 		if b.node < 0 || !slices.Contains(x.nodeMap, b.node) {
 			continue
 		}
-		if isShareable(x.nodes[b.node].Op) || x.exposed(b.node, int(b.res)) {
+		if isShareable(x.nodes[b.node].Op) || x.exposed(cr, b.node, int(b.res)) {
 			continue
 		}
 		return false
@@ -518,39 +509,41 @@ func (x *selection) tryMatch(cr *pattern.CompiledRule, n *firm.Node) bool {
 	return true
 }
 
-// matchNode matches pattern node pi against graph node gn.
-func (x *selection) matchNode(pi int, gn *firm.Node) bool {
+// matchNode matches pattern node pi of rule cr, attempted at root,
+// against graph node gn.
+func (x *selection) matchNode(cr *pattern.CompiledRule, root *firm.Node, pi int, gn *firm.Node) bool {
 	if id := x.nodeMap[pi]; id >= 0 {
 		return int(id) == gn.ID
 	}
 	// Equal tokens mean equal op and internals; pseudo nodes match no
 	// pattern node.
-	if x.tok[gn.ID] != x.cr.Tokens[pi] {
+	if x.tok[gn.ID] != cr.Tokens[pi] {
 		return false
 	}
 	// A node already consumed by another match (or already chosen as
 	// another instruction's root) cannot be interior here.
-	if gn != x.root && x.dec[gn.ID] != decDead {
+	if gn != root && x.dec[gn.ID] != decDead {
 		return false
 	}
 	x.nodeMap[pi] = int32(gn.ID)
-	for i, pa := range x.cr.Rule.Pattern.Nodes[pi].Args {
-		if !x.matchRef(pa, firm.Ref{Node: gn.Args[i], Result: gn.ArgResult(i)}) {
+	for i, pa := range cr.Rule.Pattern.Nodes[pi].Args {
+		if !x.matchRef(cr, root, pa, firm.Ref{Node: gn.Args[i], Result: gn.ArgResult(i)}) {
 			return false
 		}
 	}
 	return true
 }
 
-// matchRef matches a pattern value reference against the graph ref gr.
-func (x *selection) matchRef(pr pattern.ValueRef, gr firm.Ref) bool {
+// matchRef matches a pattern value reference of rule cr against the
+// graph ref gr.
+func (x *selection) matchRef(cr *pattern.CompiledRule, root *firm.Node, pr pattern.ValueRef, gr firm.Ref) bool {
 	if pr.Kind != pattern.RefArg {
-		return gr.Result == pr.Result && x.matchNode(pr.Index, gr.Node)
+		return gr.Result == pr.Result && x.matchNode(cr, root, pr.Index, gr.Node)
 	}
 	if b := x.argBind[pr.Index]; b.node >= 0 {
 		return int(b.node) == gr.Node.ID && int(b.res) == gr.Result
 	}
-	if x.cr.Rule.Pattern.ArgKinds[pr.Index] == sem.KindImm {
+	if cr.Rule.Pattern.ArgKinds[pr.Index] == sem.KindImm {
 		// Immediate operands must match compile-time constants that the
 		// goal's immediate field can encode (ImmOK nil = any word
 		// constant, the x86 behaviour; RISC-style targets restrict e.g.
@@ -558,7 +551,7 @@ func (x *selection) matchRef(pr pattern.ValueRef, gr firm.Ref) bool {
 		if gr.Node.Op != "Const" {
 			return false
 		}
-		goal := x.cr.Goal
+		goal := cr.Goal
 		if goal.ImmOK != nil && !goal.ImmOK(pr.Index, gr.Node.Internals[0], x.g.Width) {
 			return false
 		}
@@ -568,9 +561,9 @@ func (x *selection) matchRef(pr pattern.ValueRef, gr firm.Ref) bool {
 }
 
 // exposed reports whether result r of matched node id is a result of
-// the attempted pattern.
-func (x *selection) exposed(id int32, r int) bool {
-	for _, res := range x.cr.Rule.Pattern.Results {
+// rule cr's pattern.
+func (x *selection) exposed(cr *pattern.CompiledRule, id int32, r int) bool {
+	for _, res := range cr.Rule.Pattern.Results {
 		if res.Kind == pattern.RefNode && res.Result == r && x.nodeMap[res.Index] == id {
 			return true
 		}
@@ -595,7 +588,9 @@ func (x *selection) usesInMatch(gn *firm.Node) int {
 	return uses
 }
 
-// emit is the emission pass: leaves first.
+// emit is the emission pass: leaves first. The program's arrays are
+// sized from decide's counts; they hold no pointers, so they are
+// allocated unscanned and filled without write barriers.
 func (x *selection) emit() (*mach.Program, Coverage, error) {
 	g := x.g
 	for i := range x.vals {
@@ -604,27 +599,29 @@ func (x *selection) emit() (*mach.Program, Coverage, error) {
 	for i, p := range g.Params() {
 		x.vals[firm.Ref{Node: p}.Index()] = mach.Value(i)
 	}
-	x.prog = mach.NewProgram(g.Name, g.Width, len(g.Params()))
-	x.prog.Instrs = make([]mach.Instr, 0, x.st.Matches+x.st.Fallbacks)
-	x.valBuf = make([]mach.Value, 0, x.operands+len(g.Returns))
-	x.immBuf = make([]mach.Imm, 0, x.imms)
+	prog := mach.NewProgram(g.Name, g.Width, len(g.Params()))
+	prog.Goals = x.c.Goals()
+	prog.Instrs = make([]mach.Instr, 0, x.st.Matches+x.st.Fallbacks)
+	prog.Vals = make([]mach.Value, 0, x.operands+len(g.Returns))
+	prog.Imms = make([]mach.Imm, 0, x.imms)
+	x.prog = prog
 	cov := Coverage{Total: g.NumRealNodes()}
 
 	for _, n := range g.Nodes() {
 		switch {
 		case n.IsInitialMem():
-			x.vals[firm.Ref{Node: n}.Index()] = x.prog.NewValue()
+			x.vals[firm.Ref{Node: n}.Index()] = prog.NewValue()
 		case n.IsPseudo():
 			// Params pre-seeded.
 		case x.dec[n.ID] == decRoot:
-			m := &x.matches[x.rooted[n.ID]]
+			m := x.matches[x.rooted[n.ID]]
 			if err := x.emitMatch(m); err != nil {
 				return nil, cov, err
 			}
 			// Shareable interiors like Const are counted at every match
 			// that absorbs them; a Const kept alive elsewhere re-emits
 			// via fallback.
-			cov.Covered += len(m.nodeMap)
+			cov.Covered += x.c.At(int(m.rule)).Rule.Pattern.Size()
 		case x.dec[n.ID] == decFallback:
 			if !x.s.Fallback {
 				return nil, cov, fmt.Errorf("isel: %s: no rule matches v%d (%s)", g.Name, n.ID, n.Op)
@@ -636,62 +633,61 @@ func (x *selection) emit() (*mach.Program, Coverage, error) {
 		}
 	}
 
-	x.prog.Rets = x.values(len(g.Returns))
+	_, prog.Rets = x.values(len(g.Returns))
 	for i, r := range g.Returns {
 		v := x.vals[r.Index()]
 		if v < 0 {
 			return nil, cov, fmt.Errorf("isel: %s: return ref v%d.%d was never emitted", g.Name, r.Node.ID, r.Result)
 		}
-		x.prog.Rets[i] = v
+		prog.Rets[i] = v
 	}
-	return x.prog, cov, nil
+	return prog, cov, nil
 }
 
-// values carves an n-value slice out of the program's value array
-// (growing it when the estimate falls short).
-func (x *selection) values(n int) []mach.Value {
-	if len(x.valBuf)+n > cap(x.valBuf) {
-		x.valBuf = make([]mach.Value, 0, max(n, 2*cap(x.valBuf)))
+// values appends n zero values to the program's value array (growing
+// it when decide's count falls short) and returns their span and the
+// values themselves, to be filled in.
+func (x *selection) values(n int) (mach.Span, []mach.Value) {
+	p := x.prog
+	l := len(p.Vals)
+	if l+n > cap(p.Vals) {
+		p.Vals = slices.Grow(p.Vals, n)
 	}
-	l := len(x.valBuf)
-	x.valBuf = x.valBuf[:l+n]
-	return x.valBuf[l : l+n : l+n]
+	p.Vals = p.Vals[:l+n]
+	return mach.Span{Off: int32(l), Len: int32(n)}, p.Vals[l : l+n : l+n]
 }
 
-// newResults allocates an instruction's result values.
-func (x *selection) newResults(goal *sem.Instr) []mach.Value {
-	rs := x.values(len(goal.Results))
+// newResults allocates the n result values of the instruction being
+// emitted.
+func (x *selection) newResults(n int) (mach.Span, []mach.Value) {
+	sp, rs := x.values(n)
 	for i := range rs {
 		rs[i] = x.prog.NewValue()
 	}
-	return rs
+	return sp, rs
 }
 
 // pinImm appends an immediate for operand ai of the instruction being
 // emitted to the program's immediate array.
 func (x *selection) pinImm(ai int, v uint64) {
-	x.immBuf = append(x.immBuf, mach.Imm{Arg: ai, Val: v})
+	x.prog.Imms = append(x.prog.Imms, mach.Imm{Arg: int32(ai), Val: v})
 }
 
-// immsSince returns the immediates pinned from index start of the
-// array on, the instruction's own, as a slice that cannot grow into the
-// next instruction's (nil when there are none). Should the count from
-// decide fall short, append moves the array, and the copy still holds
-// them contiguously.
-func (x *selection) immsSince(start int) []mach.Imm {
-	end := len(x.immBuf)
-	if end == start {
-		return nil
-	}
-	return x.immBuf[start:end:end]
+// immsSince returns the span of the immediates pinned from index start
+// of the program's immediate array on: the instruction's own.
+func (x *selection) immsSince(start int) mach.Span {
+	return mach.Span{Off: int32(start), Len: int32(len(x.prog.Imms) - start)}
 }
 
 // emitMatch emits the machine instruction for a decided match.
-func (x *selection) emitMatch(m *match) error {
-	p := &m.cr.Rule.Pattern
-	in := mach.Instr{Goal: m.cr.Goal, Args: x.values(len(p.ArgKinds))}
-	start := len(x.immBuf)
-	for ai, b := range m.argBind {
+func (x *selection) emitMatch(m match) error {
+	cr := x.c.At(int(m.rule))
+	p := &cr.Rule.Pattern
+	in := mach.Instr{Goal: cr.GoalIndex}
+	var args []mach.Value
+	in.Args, args = x.values(len(p.ArgKinds))
+	start := len(x.prog.Imms)
+	for ai, b := range x.argArena[m.arg : int(m.arg)+len(p.ArgKinds)] {
 		switch {
 		case b.node < 0:
 			// The pattern never references this argument; verification
@@ -704,19 +700,21 @@ func (x *selection) emitMatch(m *match) error {
 			ref := firm.Ref{Node: x.nodes[b.node], Result: int(b.res)}
 			v := x.vals[ref.Index()]
 			if v < 0 {
-				return fmt.Errorf("isel: %s: operand v%d.%d of %s not yet emitted", x.g.Name, ref.Node.ID, ref.Result, m.cr.Rule.Goal)
+				return fmt.Errorf("isel: %s: operand v%d.%d of %s not yet emitted", x.g.Name, ref.Node.ID, ref.Result, cr.Rule.Goal)
 			}
-			in.Args[ai] = v
+			args[ai] = v
 		}
 	}
 	in.Imms = x.immsSince(start)
-	in.Results = x.newResults(in.Goal)
-	x.prog.Append(in)
+	var results []mach.Value
+	in.Results, results = x.newResults(len(cr.Goal.Results))
+	x.prog.Instrs = append(x.prog.Instrs, in)
 	// Publish the produced refs. Identity (RefArg) results need no
 	// publication: the bound operand already has a value.
+	nodeMap := x.nodeArena[m.node : int(m.node)+len(p.Nodes)]
 	for ri, res := range p.Results {
 		if res.Kind == pattern.RefNode {
-			x.vals[firm.Ref{Node: x.nodes[m.nodeMap[res.Index]], Result: res.Result}.Index()] = in.Results[ri]
+			x.vals[firm.Ref{Node: x.nodes[nodeMap[res.Index]], Result: res.Result}.Index()] = results[ri]
 		}
 	}
 	return nil
@@ -762,33 +760,35 @@ var x86Fallback = X86Fallback()
 
 // emitFallback translates one node directly.
 func (x *selection) emitFallback(n *firm.Node) error {
-	goal := x.fallbackGoal(n)
-	if goal == nil {
+	gi := x.fallbackGoal(n)
+	if gi < 0 {
 		return fmt.Errorf("isel: %s: no fallback for op %s", x.g.Name, n.Op)
 	}
-	in := mach.Instr{Goal: goal}
+	in := mach.Instr{Goal: gi}
 	if n.Op == "Const" {
-		in.Args = x.values(1)
-		start := len(x.immBuf)
+		in.Args, _ = x.values(1)
+		start := len(x.prog.Imms)
 		x.pinImm(0, n.Internals[0])
 		in.Imms = x.immsSince(start)
 	} else {
 		// IR argument order matches the machine instruction's operand
 		// order for every fallback pair (Cmp's relation internal is
 		// carried by the condition code).
-		in.Args = x.values(len(n.Args))
+		var args []mach.Value
+		in.Args, args = x.values(len(n.Args))
 		for i, a := range n.Args {
 			v := x.vals[firm.Ref{Node: a, Result: n.ArgResult(i)}.Index()]
 			if v < 0 {
 				return fmt.Errorf("isel: %s: fallback operand v%d not emitted", x.g.Name, a.ID)
 			}
-			in.Args[i] = v
+			args[i] = v
 		}
 	}
-	in.Results = x.newResults(goal)
-	x.prog.Append(in)
-	for r := 0; r < n.NumResults() && r < len(in.Results); r++ {
-		x.vals[firm.Ref{Node: n, Result: r}.Index()] = in.Results[r]
+	var results []mach.Value
+	in.Results, results = x.newResults(len(x.prog.Goals[gi].Results))
+	x.prog.Instrs = append(x.prog.Instrs, in)
+	for r := 0; r < n.NumResults() && r < len(results); r++ {
+		x.vals[firm.Ref{Node: n, Result: r}.Index()] = results[r]
 	}
 	return nil
 }

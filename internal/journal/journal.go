@@ -24,15 +24,23 @@
 // is reported as a clear error rather than silently repaired, because
 // it indicates corruption (or operator error) beyond what a torn append
 // or a reassigned lease can produce.
+//
+// A journal has one writer at a time: Create and Resume take an
+// exclusive flock on the file, held until Close (or until the process
+// dies), and fail with ErrLocked while another open Writer holds it.
+// Read takes no lock.
 package journal
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync"
+	"syscall"
+	"time"
 
 	"selgen/internal/failpoint"
 	"selgen/internal/pattern"
@@ -107,6 +115,44 @@ type record struct {
 	Lease  *Lease      `json:"lease,omitempty"`
 }
 
+// ErrLocked reports a journal that another open Writer holds, in this
+// process or another one.
+var ErrLocked = errors.New("journal: locked by another writer")
+
+// lock takes the single-writer lock on f without blocking.
+func lock(f *os.File) error {
+	err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+	if errors.Is(err, syscall.EWOULDBLOCK) {
+		return fmt.Errorf("%w: %s", ErrLocked, f.Name())
+	}
+	if err != nil {
+		return fmt.Errorf("journal: locking %s: %w", f.Name(), err)
+	}
+	return nil
+}
+
+// WaitUnlocked waits until no Writer holds the journal at path, for at
+// most timeout, and fails with ErrLocked if one still does then. A
+// missing file has no writer.
+func WaitUnlocked(path string, timeout time.Duration) error {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	defer f.Close() // releases the lock taken below
+	deadline := time.Now().Add(timeout)
+	for {
+		err := lock(f)
+		if !errors.Is(err, ErrLocked) || time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // Writer appends records to a journal file. Safe for concurrent use
 // (the driver may finish goals on parallel workers).
 type Writer struct {
@@ -121,10 +167,19 @@ type Writer struct {
 }
 
 // Create starts a fresh journal at path, truncating any previous file,
-// and writes the header record.
+// and writes the header record. It fails with ErrLocked, leaving the
+// file untouched, while another Writer holds it.
 func Create(path string, h Header) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if err := lock(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Truncate(0); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	w := &Writer{f: f}
@@ -198,7 +253,7 @@ func (w *Writer) append(line []byte) error {
 	return nil
 }
 
-// Close syncs and closes the journal file.
+// Close syncs and closes the journal file, releasing its lock.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -249,11 +304,16 @@ func (r *Recovered) Index() map[string]GoalRecord {
 // header against want, truncates a torn tail, and returns a Writer
 // positioned to append plus the recovered records. An empty file (a
 // crash before the header reached the disk) is recovered as a fresh
-// journal: the header is written and no goals are replayed.
+// journal: the header is written and no goals are replayed. Like
+// Create, it fails with ErrLocked while another Writer holds the file.
 func Resume(path string, want Header) (*Writer, *Recovered, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	if err := lock(f); err != nil {
+		f.Close()
+		return nil, nil, err
 	}
 	w := &Writer{f: f}
 	rec, err := scan(f, want)

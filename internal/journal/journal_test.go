@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"selgen/internal/failpoint"
 	"selgen/internal/pattern"
@@ -51,7 +52,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
 	if rec.TruncatedBytes != 0 {
 		t.Fatalf("clean journal reported %d truncated bytes", rec.TruncatedBytes)
 	}
@@ -73,6 +73,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := w2.Append(testRecord(3)); err != nil {
 		t.Fatal(err)
 	}
+	w2.Close() // releases the single-writer lock for the next Resume
 	_, rec2, err := Resume(path, testHeader)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +81,55 @@ func TestRoundTrip(t *testing.T) {
 	if len(rec2.Goals) != 4 {
 		t.Fatalf("after resumed append: want 4 goals, got %d", len(rec2.Goals))
 	}
+}
+
+// TestSingleWriter: while one Writer holds a journal, a second Create or
+// Resume fails with ErrLocked and leaves the file as it was, Read still
+// works, and WaitUnlocked times out with ErrLocked. Once the holder
+// closes, WaitUnlocked returns and the next writer opens the file.
+func TestSingleWriter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.jsonl")
+	if err := WaitUnlocked(filepath.Join(dir, "missing.jsonl"), 0); err != nil {
+		t.Fatalf("WaitUnlocked on a missing journal: %v", err)
+	}
+	w := mustCreate(t, path)
+	if err := w.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(path, testHeader); !errors.Is(err, ErrLocked) {
+		t.Fatalf("Create on a held journal: %v, want ErrLocked", err)
+	}
+	if _, _, err := Resume(path, testHeader); !errors.Is(err, ErrLocked) {
+		t.Fatalf("Resume on a held journal: %v, want ErrLocked", err)
+	}
+	if err := WaitUnlocked(path, 20*time.Millisecond); !errors.Is(err, ErrLocked) {
+		t.Fatalf("WaitUnlocked on a held journal: %v, want ErrLocked", err)
+	}
+	if rec, err := Read(path, testHeader); err != nil || len(rec.Goals) != 1 {
+		t.Fatalf("Read of a held journal: %v; want its 1 record intact", err)
+	}
+
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		w.Close()
+	}()
+	if err := WaitUnlocked(path, 10*time.Second); err != nil {
+		t.Fatalf("WaitUnlocked after the writer closed: %v", err)
+	}
+	w2, rec, err := Resume(path, testHeader)
+	if err != nil || len(rec.Goals) != 1 {
+		t.Fatalf("Resume after the writer closed: %v", err)
+	}
+	if _, err := Create(path, testHeader); !errors.Is(err, ErrLocked) {
+		t.Fatalf("Create on a resumed journal: %v, want ErrLocked", err)
+	}
+	w2.Close()
+	w3, err := Create(path, testHeader)
+	if err != nil {
+		t.Fatalf("Create after Close: %v", err)
+	}
+	w3.Close()
 }
 
 // TestLeaseRoundTrip: the farm coordinator's records — lease grants and

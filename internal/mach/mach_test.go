@@ -13,10 +13,10 @@ func TestBuildAndExec(t *testing.T) {
 	p := NewProgram("f", w, 2)
 	add := x86.AddInstr()
 	sum := p.NewValue()
-	p.Append(Instr{Goal: add, Args: []Value{0, 1}, Results: []Value{sum}})
+	p.Append(add, []Value{0, 1}, []Value{sum})
 	neg := x86.Neg()
 	out := p.NewValue()
-	p.Append(Instr{Goal: neg, Args: []Value{sum}, Results: []Value{out}})
+	p.Append(neg, []Value{sum}, []Value{out})
 	p.Rets = []Value{out}
 
 	res, err := p.Exec([]uint64{10, 20}, nil)
@@ -39,8 +39,7 @@ func TestImmediateOperands(t *testing.T) {
 	p := NewProgram("f", w, 1)
 	addi := x86.Imm(x86.AddInstr())
 	out := p.NewValue()
-	p.Append(Instr{Goal: addi, Args: []Value{0, 0}, Results: []Value{out},
-		Imms: []Imm{{Arg: 1, Val: 5}}})
+	p.Append(addi, []Value{0, 0}, []Value{out}, Imm{Arg: 1, Val: 5})
 	p.Rets = []Value{out}
 	res, err := p.Exec([]uint64{37}, nil)
 	if err != nil {
@@ -57,11 +56,11 @@ func TestMemoryInstructions(t *testing.T) {
 	st := x86.MovStore(am)
 	mem0 := p.NewValue()
 	mem1 := p.NewValue()
-	p.Append(Instr{Goal: st, Args: []Value{mem0, 0, 1}, Results: []Value{mem1}})
+	p.Append(st, []Value{mem0, 0, 1}, []Value{mem1})
 	ld := x86.MovLoad(am)
 	mem2 := p.NewValue()
 	out := p.NewValue()
-	p.Append(Instr{Goal: ld, Args: []Value{mem1, 0}, Results: []Value{mem2, out}})
+	p.Append(ld, []Value{mem1, 0}, []Value{mem2, out})
 	p.Rets = []Value{out}
 
 	res, err := p.Exec([]uint64{0x30, 0x77}, nil)
@@ -80,7 +79,7 @@ func TestUndefinedValueFails(t *testing.T) {
 	p := NewProgram("f", w, 0)
 	out := p.NewValue()
 	bogus := p.NewValue()
-	p.Append(Instr{Goal: x86.Neg(), Args: []Value{bogus}, Results: []Value{out}})
+	p.Append(x86.Neg(), []Value{bogus}, []Value{out})
 	p.Rets = []Value{out}
 	if _, err := p.Exec(nil, nil); err == nil {
 		t.Fatalf("use of undefined value must fail")
@@ -97,8 +96,7 @@ func TestParamMismatchFails(t *testing.T) {
 func TestStringRendering(t *testing.T) {
 	p := NewProgram("f", w, 1)
 	out := p.NewValue()
-	p.Append(Instr{Goal: x86.Imm(x86.AddInstr()), Args: []Value{0, 0},
-		Results: []Value{out}, Imms: []Imm{{Arg: 1, Val: 9}}})
+	p.Append(x86.Imm(x86.AddInstr()), []Value{0, 0}, []Value{out}, Imm{Arg: 1, Val: 9})
 	p.Rets = []Value{out}
 	s := p.String()
 	if !strings.Contains(s, "add.imm") || !strings.Contains(s, "$9") {
@@ -112,8 +110,7 @@ func TestStringRendering(t *testing.T) {
 func TestTwoImmediates(t *testing.T) {
 	p := NewProgram("f", w, 0)
 	out := p.NewValue()
-	p.Append(Instr{Goal: x86.SubInstr(), Args: []Value{0, 0}, Results: []Value{out},
-		Imms: []Imm{{Arg: 1, Val: 4}, {Arg: 0, Val: 9}}})
+	p.Append(x86.SubInstr(), []Value{0, 0}, []Value{out}, Imm{Arg: 1, Val: 4}, Imm{Arg: 0, Val: 9})
 	p.Rets = []Value{out}
 	res, err := p.Exec(nil, nil)
 	if err != nil {
@@ -126,7 +123,7 @@ func TestTwoImmediates(t *testing.T) {
 	if s := p.String(); s != want {
 		t.Fatalf("rendering:\n%s\nwant:\n%s", s, want)
 	}
-	if _, ok := p.Instrs[0].Imm(2); ok {
+	if _, ok := p.Imm(0, 2); ok {
 		t.Fatalf("argument 2 has no immediate")
 	}
 }

@@ -95,7 +95,7 @@ type trieEdge struct {
 // child returns the node the edge labelled tok leads to, or 0 (the
 // unused sentinel node) when there is none.
 func (n *trieNode) child(tok Token) int32 {
-	i, ok := n.search(tok)
+	i, ok := search(n.edges, tok)
 	if !ok {
 		return 0
 	}
@@ -103,17 +103,17 @@ func (n *trieNode) child(tok Token) int32 {
 }
 
 // search binary-searches the sorted edges for tok.
-func (n *trieNode) search(tok Token) (int, bool) {
-	lo, hi := 0, len(n.edges)
+func search(edges []trieEdge, tok Token) (int, bool) {
+	lo, hi := 0, len(edges)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if n.edges[m].tok < tok {
+		if edges[m].tok < tok {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(n.edges) && n.edges[lo].tok == tok
+	return lo, lo < len(edges) && edges[lo].tok == tok
 }
 
 // CompiledRule is one rule of a CompiledLibrary: the expanded-
@@ -122,8 +122,10 @@ type CompiledRule struct {
 	// Rule is the rule in one concrete commutative orientation.
 	Rule Rule
 	// Goal is the resolved goal instruction (nil when the registry does
-	// not know the goal; such rules never match).
-	Goal *sem.Instr
+	// not know the goal; such rules never match), and GoalIndex its
+	// index in CompiledLibrary.Goals (-1 when nil).
+	Goal      *sem.Instr
+	GoalIndex int32
 	// Root is the pattern node index the matcher roots at (the producer
 	// of the primary = last non-memory result). It is -1 when the rule
 	// can never root a match: unknown goal, an identity (argument)
@@ -154,6 +156,10 @@ type CompiledLibrary struct {
 	roots   []int32
 	indexed int
 	maxSize int
+	// goals is the goal registry in name order (goalNames), the table
+	// GoalIndex and CompiledRule.GoalIndex index.
+	goals     []*sem.Instr
+	goalNames []string
 }
 
 // Compile canonicalizes and indexes a rule library: it expands
@@ -171,11 +177,23 @@ func Compile(lib *Library, goals map[string]*sem.Instr) *CompiledLibrary {
 		ints:  map[[2]uint64]uint32{},
 		nodes: make([]trieNode, 1),
 	}
+	c.goalNames = make([]string, 0, len(goals))
+	for name := range goals {
+		c.goalNames = append(c.goalNames, name)
+	}
+	slices.Sort(c.goalNames)
+	c.goals = make([]*sem.Instr, len(c.goalNames))
+	for i, name := range c.goalNames {
+		c.goals[i] = goals[name]
+	}
 	for i, r := range ex.Rules {
-		goal := goals[r.Goal]
+		gi := c.GoalIndex(r.Goal)
 		cr := &c.rules[i]
-		*cr = CompiledRule{Rule: r, Goal: goal, Tokens: make([]Token, len(r.Pattern.Nodes))}
-		cr.Root = matchRoot(&cr.Rule.Pattern, goal)
+		*cr = CompiledRule{Rule: r, GoalIndex: gi, Tokens: make([]Token, len(r.Pattern.Nodes))}
+		if gi >= 0 {
+			cr.Goal = c.goals[gi]
+		}
+		cr.Root = matchRoot(&cr.Rule.Pattern, cr.Goal)
 		for pi := range r.Pattern.Nodes {
 			pn := &r.Pattern.Nodes[pi]
 			cr.Tokens[pi] = nodeToken(c.opID(pn.Op), c.intern(pn.Internals))
@@ -248,6 +266,19 @@ func (c *CompiledLibrary) NodeToken(op OpID, internals []uint64) Token {
 	}
 	return nodeToken(op, id)
 }
+
+// GoalIndex returns the index of the named goal in Goals, or -1 when
+// the registry Compile was given does not know it.
+func (c *CompiledLibrary) GoalIndex(name string) int32 {
+	if i, ok := slices.BinarySearch(c.goalNames, name); ok {
+		return int32(i)
+	}
+	return -1
+}
+
+// Goals returns the goal table: the registry Compile was given, in name
+// order. It is shared and capacity-clipped, so appending to it copies.
+func (c *CompiledLibrary) Goals() []*sem.Instr { return c.goals[:len(c.goals):len(c.goals)] }
 
 // matchRoot computes the root pattern node the matcher anchors at, or
 // -1 when the rule is unmatchable (see CompiledRule.Root).
@@ -333,7 +364,7 @@ func (c *CompiledLibrary) newNode() int32 {
 // step returns the child of node ni along tok, creating it (and keeping
 // the edges sorted) when absent.
 func (c *CompiledLibrary) step(ni int32, tok Token) int32 {
-	i, ok := c.nodes[ni].search(tok)
+	i, ok := search(c.nodes[ni].edges, tok)
 	if ok {
 		return c.nodes[ni].edges[i].child
 	}
@@ -378,15 +409,27 @@ func (c *CompiledLibrary) walk(ni int32, feeders []Token, buf []int) ([]int, int
 	}
 	visits := 1
 	f, rest := feeders[0], feeders[1:]
-	for _, tok := range [...]Token{tokAny, tokImm, f} {
-		if tok == tokImm && f.op() != opConst {
-			continue
-		}
-		if ch := n.child(tok); ch != 0 {
+	// tokAny and tokImm are the two smallest tokens, so they head the
+	// sorted edges when present; only f's own edge needs a search.
+	edges := n.edges
+	if len(edges) > 0 && edges[0].tok == tokAny {
+		var v int
+		buf, v = c.walk(edges[0].child, rest, buf)
+		visits += v
+		edges = edges[1:]
+	}
+	if len(edges) > 0 && edges[0].tok == tokImm {
+		if f.op() == opConst {
 			var v int
-			buf, v = c.walk(ch, rest, buf)
+			buf, v = c.walk(edges[0].child, rest, buf)
 			visits += v
 		}
+		edges = edges[1:]
+	}
+	if i, ok := search(edges, f); ok {
+		var v int
+		buf, v = c.walk(edges[i].child, rest, buf)
+		visits += v
 	}
 	return buf, visits
 }

@@ -21,9 +21,14 @@ type ConcreteMem struct {
 	Loads, Stores int
 }
 
-// NewConcreteMem returns an empty concrete memory.
-func NewConcreteMem(b *bv.Builder, width int) *ConcreteMem {
-	return &ConcreteMem{b: b, width: width, Cells: make(map[uint64]uint64)}
+// NewConcreteMem returns a concrete memory holding a copy of the image
+// init (nil for an empty memory), each cell masked to the width.
+func NewConcreteMem(b *bv.Builder, width int, init map[uint64]uint64) *ConcreteMem {
+	c := &ConcreteMem{b: b, width: width, Cells: make(map[uint64]uint64, len(init))}
+	for a, v := range init {
+		c.Cells[a] = v & bv.Mask(width)
+	}
+	return c
 }
 
 // Sort implements Mem with a 1-bit placeholder M-value sort (the

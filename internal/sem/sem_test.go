@@ -93,7 +93,7 @@ func TestInstrHelpers(t *testing.T) {
 
 func TestConcreteMem(t *testing.T) {
 	b := bv.NewBuilder()
-	cm := NewConcreteMem(b, 8)
+	cm := NewConcreteMem(b, 8, nil)
 	m := b.Const(0, 1)
 	m1, _ := cm.St(m, b.Const(0x10, 8), b.Const(0xAB, 8))
 	_, v, valid := cm.Ld(m1, b.Const(0x10, 8))
@@ -115,7 +115,7 @@ func TestConcreteMem(t *testing.T) {
 
 func TestConcreteMemRejectsSymbolicPointer(t *testing.T) {
 	b := bv.NewBuilder()
-	cm := NewConcreteMem(b, 8)
+	cm := NewConcreteMem(b, 8, nil)
 	p := b.Var("p", bv.BitVec(8))
 	defer func() {
 		if recover() == nil {

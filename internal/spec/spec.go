@@ -299,7 +299,7 @@ func Inputs(g *firm.Graph, seed int64, sets int) ([][]uint64, []map[uint64]uint6
 		// The base pointer is the last parameter; give it a stable
 		// value so address arithmetic stays in a small region.
 		ps[len(ps)-1] = 0x40
-		mem := make(map[uint64]uint64)
+		mem := make(map[uint64]uint64, 0x200)
 		for a := uint64(0); a < 0x200; a++ {
 			mem[a] = rng.Uint64() & bv.Mask(g.Width)
 		}

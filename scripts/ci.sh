@@ -120,6 +120,40 @@ cmp "$tmpdir/farmed.json" testdata/goldens/quick_x86.json || {
 	exit 1
 }
 
+# Coordinator kill, then an immediate resume: journal.kill SIGKILLs the
+# coordinator after its third durable lease grant, while its workers
+# may still be finishing a goal. The resume must wait until they let go
+# of their shards (the journal's single-writer lock) and take their
+# late records as done, so no goal finishes twice: each of three rounds
+# reports 0 shard duplicates and writes the golden bytes. Afterwards no
+# worker of either coordinator may still be running.
+for round in 1 2 3; do
+	rm -rf "$tmpdir/farmkill"
+	if "$tmpdir/selfarm" -setup quick -timeout 2m -selgen "$tmpdir/selgen" \
+		-dir "$tmpdir/farmkill" -o "$tmpdir/farmkill.json" \
+		-faults journal.kill=hit:3 >/dev/null 2>&1; then
+		echo "ci.sh: journal.kill failpoint did not kill the farm coordinator" >&2
+		exit 1
+	fi
+	"$tmpdir/selfarm" -setup quick -timeout 2m -selgen "$tmpdir/selgen" \
+		-dir "$tmpdir/farmkill" -o "$tmpdir/farmkill.json" \
+		-resume -workers 1 >"$tmpdir/farmkill.out"
+	grep -q ' 0 shard duplicate(s)' "$tmpdir/farmkill.out" || {
+		echo "ci.sh: round $round: the resumed farm merged duplicate shard records:" >&2
+		cat "$tmpdir/farmkill.out" >&2
+		exit 1
+	}
+	cmp "$tmpdir/farmkill.json" testdata/goldens/quick_x86.json || {
+		echo "ci.sh: round $round: the resumed farm's library differs from the golden" >&2
+		exit 1
+	}
+done
+if pgrep -f "$tmpdir/selgen .* -farm " >/dev/null; then
+	echo "ci.sh: selgen farm workers outlived their coordinators:" >&2
+	pgrep -af "$tmpdir/selgen .* -farm " >&2
+	exit 1
+fi
+
 # Cost-ablation smoke test: the same quick setup synthesized with
 # -cost-aware=false (exhaustive size-major enumeration, no dominance
 # prune) must cover exactly the same goals with strictly more rules,
