@@ -238,8 +238,8 @@ func run() int {
 	}
 
 	rep.Driver.WriteTable(os.Stdout)
-	fmt.Printf("\nfarm: %d worker(s), %d goal(s) (%d synthesized, %d replayed), %.2f goals/s\n",
-		rep.Workers, rep.Goals, rep.Synthesized, rep.Replayed, rep.GoalsPerSec)
+	fmt.Printf("\nfarm: %d worker(s), %d goal(s) leased (%d synthesized, %d replayed), %d derived in the merge, %.2f goals/s\n",
+		rep.Workers, rep.Goals, rep.Synthesized, rep.Replayed, rep.Derived, rep.GoalsPerSec)
 	fmt.Printf("farm: %d lease(s) granted, %d reclaimed, %d late completion(s), %d respawn(s), %d heartbeat kill(s), %d shard duplicate(s)\n",
 		rep.Granted, rep.Reclaimed, rep.Late, rep.Respawns, rep.Kills, rep.Duplicates)
 	if len(rep.Quarantined) > 0 {

@@ -276,19 +276,22 @@ func newSeedTests(cfg Config, goal *sem.Instr) [][]uint64 {
 	return out
 }
 
-// verify checks a candidate pattern against the goal over all inputs
-// (the paper's verification query): it searches for a test case that
-// (1) meets the pattern's precondition but not the goal's, (2) makes
-// results differ, or (3) makes the pattern access an invalid address.
-// It returns (nil, true) when the pattern is correct, or a
-// counterexample test case.
+// Verify checks a rule's pattern against its goal over all inputs at
+// the engine's width (the paper's verification query, the one the
+// synthesis loop asks of every candidate): it searches for a test case
+// that (1) meets the pattern's precondition but not the goal's, (2)
+// makes results differ, or (3) makes the pattern access an invalid
+// address. It returns (nil, true) when the pattern is correct, or a
+// counterexample test case (one value per goal argument); an error
+// means the query gave up (a budget, the deadline) or the pattern is
+// malformed.
 //
 // By default the query runs in the goal's persistent verification
 // context: the goal semantics and argument variables are built and
 // bit-blasted once, and the per-candidate constraints live in a
 // retractable solver frame. Under Config.DisableIncremental a fresh
 // context is built per call (the pre-incremental behaviour).
-func (e *Engine) verify(goal *sem.Instr, p *pattern.Pattern) (cex []uint64, ok bool, err error) {
+func (e *Engine) Verify(goal *sem.Instr, p *pattern.Pattern) (cex []uint64, ok bool, err error) {
 	// Check the deadline before building and blasting the candidate's
 	// violation formula: a fresh verification context can take longer
 	// to construct than a short per-goal budget allows.
@@ -512,7 +515,7 @@ func (e *Engine) cegisAllPatterns(comps []*sem.Instr, goal *sem.Instr, budget in
 				// progress).
 			}
 		}
-		cex, ok, verr := e.verify(goal, &cand)
+		cex, ok, verr := e.Verify(goal, &cand)
 		if verr != nil {
 			if e.deadlineExceeded() {
 				return found, ErrDeadline

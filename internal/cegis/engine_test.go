@@ -26,7 +26,7 @@ func checkPatternsValid(t *testing.T, e *Engine, goal *sem.Instr, pats []pattern
 		if err := pats[i].Validate(e.Ops()); err != nil {
 			t.Fatalf("pattern %d invalid: %v", i, err)
 		}
-		cex, ok, err := e.verify(goal, &pats[i])
+		cex, ok, err := e.Verify(goal, &pats[i])
 		if err != nil {
 			t.Fatalf("re-verify error: %v", err)
 		}

@@ -388,12 +388,13 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// Run synthesizes all groups into one library. Every goal takes the
-// path a farm worker's goals take (GoalRunner): journal replay or the
-// retry ladder behind a panic boundary (retry.go), the journal append,
-// the live state and the driver.goal.done event. max(Parallel, 1)
-// goroutines take the goals in GoalKeys order, with no barrier between
-// groups, and fold aggregates the outcomes in that order, so the
+// Run synthesizes all groups into one library. Every searched goal
+// (Plan) takes the path a farm worker's goals take (GoalRunner):
+// journal replay or the retry ladder behind a panic boundary
+// (retry.go), the journal append, the live state and the
+// driver.goal.done event. max(Parallel, 1) goroutines take the searched
+// goals in goal order, with no barrier between groups, and fold derives
+// the other goals and aggregates the outcomes in goal order, so the
 // library does not depend on Parallel. Run only fails on setup errors:
 // a goal that cannot be synthesized is degraded or quarantined and
 // reported, never fatal.
@@ -403,11 +404,11 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 		return nil, nil, err
 	}
 	opts, tr := r.opts, r.tr
-	keys := GoalKeys(groups)
+	plan := newPlan(groups, opts)
 
 	// Publish the whole run plan up front so /goals shows every goal
-	// (pending included) from the first scrape.
-	for _, k := range keys {
+	// (pending and derived ones included) from the first scrape.
+	for _, k := range plan.keys {
 		opts.State.register(k.Group, k.Index, k.Goal)
 	}
 
@@ -436,7 +437,8 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 		}
 	}
 
-	outs := make([]*goalOut, len(keys))
+	outs := make([]*goalOut, len(plan.keys))
+	work := plan.searched()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range max(opts.Parallel, 1) {
@@ -446,20 +448,21 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 			// Graceful stop: no new goal starts; the goals in flight
 			// run to completion and journal their records.
 			for !stopRequested(opts.Stop) {
-				i := int(next.Add(1)) - 1
-				if i >= len(keys) {
+				n := int(next.Add(1)) - 1
+				if n >= len(work) {
 					return
 				}
+				i := work[n]
 				// A failed journal append costs the checkpoint, never
 				// the goal; run has logged and counted it.
-				out, _ := r.run(keys[i])
+				out, _ := r.run(plan.keys[i])
 				outs[i] = &out
 			}
 		}()
 	}
 	wg.Wait()
 
-	lib, rep := fold(groups, opts, outs, tr)
+	lib, rep := plan.fold(outs, tr)
 	rep.Metrics = tr.Metrics()
 	rep.JournalDuplicates = len(opts.ResumeDuplicates)
 	if slices.Contains(outs, nil) {
@@ -474,38 +477,50 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 	return lib, rep, nil
 }
 
-// fold aggregates goal outcomes into the library and its report: outs[i]
-// is the outcome of GoalKeys(groups)[i], nil for a goal that never
-// started. Goals contribute in goal order, with each rule's cycle cost
+// fold aggregates goal outcomes into the library and its report:
+// outs[i] is the outcome of p.keys[i], nil for a goal that never
+// started or is derived. Goals contribute in goal order. A derived goal
+// whose source finished is derived here (derive), its outcome stored in
+// outs, its /goals row finished and its driver.goal.done event logged;
+// one whose source never finished stays nil. Each rule's cycle cost is
 // recomputed from its pattern (so replayed rules cost what fresh ones
-// do), then the library is deduplicated and dominance-pruned. Run and
-// AssembleLibrary both fold through here, which is what makes a farm
-// merge byte-identical to a single-process run. A group's Elapsed sums
-// its goals' synthesis times at a journal record's millisecond
-// resolution, so it reads the same for a run, a resumed run and a
-// merge.
-func fold(groups []Group, opts Options, outs []*goalOut, tr *obs.Tracer) (*pattern.Library, *Report) {
+// do), then the library is deduplicated, dominance-pruned and put in
+// canonical order. Run and Plan.Assemble both fold through here, which
+// is what makes a farm merge byte-identical to a single-process run. A
+// group's Elapsed sums its searched goals' synthesis times at a journal
+// record's millisecond resolution, so it reads the same for a run, a
+// resumed run and a merge; derivations add none.
+func (p *Plan) fold(outs []*goalOut, tr *obs.Tracer) (*pattern.Library, *Report) {
+	opts := p.opts
 	lib := &pattern.Library{Width: opts.Width}
 	rep := &Report{Total: GroupReport{Name: "Total"}}
 	ops := ir.Ops()
 	i := 0
-	for _, grp := range groups {
+	for _, grp := range p.groups {
 		gr := GroupReport{Name: grp.Name}
 		goalOps, _ := groupParams(grp, opts, ops)
 		for _, goal := range grp.Goals {
+			if src := p.from[i]; src >= 0 && outs[src] != nil {
+				d := derive(goal, p.keys[src].Goal, *outs[src], goalOps, opts, tr)
+				outs[i] = &d
+				opts.State.finish(p.keys[i].Key(), d)
+				logDone(tr, p.keys[i], d)
+			}
 			o := outs[i]
 			i++
 			if o == nil {
 				continue
 			}
 			gr.Goals++
-			for _, p := range o.res.Patterns {
+			for _, pat := range o.res.Patterns {
 				lib.Add(pattern.Rule{Goal: goal.Name, GoalCost: goal.CostOrDefault(),
-					Cost: p.CycleCost(goalOps), Pattern: p})
-				gr.MaxSize = max(gr.MaxSize, p.Size())
+					Cost: pat.CycleCost(goalOps), Pattern: pat})
+				gr.MaxSize = max(gr.MaxSize, pat.Size())
 			}
 			gr.Patterns += len(o.res.Patterns)
-			gr.Elapsed += o.res.Elapsed.Truncate(time.Millisecond)
+			if o.derivedFrom == "" {
+				gr.Elapsed += o.res.Elapsed.Truncate(time.Millisecond)
+			}
 			gr.Solver.add(o.effort)
 			switch o.status {
 			case StatusOK:
@@ -542,6 +557,7 @@ func fold(groups []Group, opts Options, outs []*goalOut, tr *obs.Tracer) (*patte
 			tr.Add("cegis.cost.rules_dominated", int64(n))
 		}
 	}
+	lib.SortCanonical()
 	if len(lib.Rules) > 0 {
 		total := 0
 		for _, rl := range lib.Rules {

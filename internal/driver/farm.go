@@ -3,16 +3,17 @@
 // same three, so the merged library is byte-identical to a
 // single-process run:
 //
-//   - GoalKeys flattens a setup into the coordinator's work list, in
-//     the group/goal order Run starts goals in.
+//   - Plan.Searched lists the coordinator's work list: the goals a run
+//     searches, in the group/goal order Run starts goals in (derive.go
+//     says which goals are derived instead).
 //   - GoalRunner runs one goal at a time. Run itself goes through it,
 //     so a farmed goal's journal record is byte-for-byte the record a
 //     single-process run writes.
-//   - AssembleLibrary folds a complete set of journal records back into
-//     a library through Run's own fold (goal order, costs, dedup,
-//     dominance pruning), so the merge is deterministic no matter
-//     which worker ran which goal, in what order, or how many times a
-//     reclaimed lease made a goal finish.
+//   - Plan.Assemble folds a complete set of journal records back into
+//     a library through Run's own fold (goal order, derivation, costs,
+//     dedup, dominance pruning, canonical order), so the merge is
+//     deterministic no matter which worker ran which goal, in what
+//     order, or how many times a reclaimed lease made a goal finish.
 //
 // Synthesis is deterministic per goal (same config ⇒ same patterns), so
 // these three pieces together give the farm its core guarantee: merged
@@ -43,8 +44,8 @@ type GoalKey struct {
 // Key returns the goal's journal key ("group/index/goal").
 func (k GoalKey) Key() string { return journal.Key(k.Group, k.Index, k.Goal) }
 
-// GoalKeys flattens a setup into its work list, in the group/goal order
-// Run dispatches (and AssembleLibrary merges).
+// GoalKeys flattens a setup into its goal list, in the group/goal
+// order Run dispatches and the fold merges.
 func GoalKeys(groups []Group) []GoalKey {
 	var keys []GoalKey
 	for _, grp := range groups {
@@ -74,7 +75,7 @@ func groupParams(grp Group, opts Options, ops []*sem.Instr) ([]*sem.Instr, int) 
 // Check rejects options outside their accepted range: a word width
 // outside 0..64 (0 selects 8), more than one SAT worker (the SAT search
 // is sequential, so only 0 and 1 are accepted), and a negative
-// retry-ladder depth. Run, NewGoalRunner and AssembleLibrary apply it
+// retry-ladder depth. Run, NewGoalRunner and NewPlan apply it
 // before any goal starts; the CLIs apply it to the options their flags
 // build and exit 2 on an error.
 func (o Options) Check() error {
@@ -202,37 +203,18 @@ func (g *GoalRunner) run(key GoalKey) (goalOut, error) {
 			err = fmt.Errorf("driver: journaling %s: %w", k, err)
 		}
 	}
-	g.logDone(key, out)
+	logDone(g.tr, key, out)
 	return out, err
 }
 
-// AssembleLibrary folds a complete record set (one per goal of the
-// setup, keyed by journal.Key) into the library through Run's fold, so
-// the result is byte-identical to the run that wrote the records.
-// Missing keys are an error — an incomplete farm run must fail loudly,
-// never ship a silently truncated library. Records carry no solver
-// effort, so the report's Solver rows stay zero.
+// AssembleLibrary is NewPlan followed by Plan.Assemble, for a caller
+// that holds no plan: it folds a record set holding one record per
+// searched goal (keyed by journal.Key) into the library the run that
+// wrote the records returned.
 func AssembleLibrary(groups []Group, recs map[string]journal.GoalRecord, opts Options) (*pattern.Library, *Report, error) {
-	opts, err := opts.normalize()
+	p, err := NewPlan(groups, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	keys := GoalKeys(groups)
-	outs := make([]*goalOut, len(keys))
-	var missing []string
-	for i, k := range keys {
-		rec, ok := recs[k.Key()]
-		if !ok {
-			missing = append(missing, k.Key())
-			continue
-		}
-		out := replayed(rec)
-		outs[i] = &out
-	}
-	if len(missing) > 0 {
-		return nil, nil, fmt.Errorf("driver: %d goal record(s) missing from the merge (first: %s) — the farm run is incomplete",
-			len(missing), missing[0])
-	}
-	lib, rep := fold(groups, opts, outs, nil)
-	return lib, rep, nil
+	return p.Assemble(recs)
 }

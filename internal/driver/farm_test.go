@@ -8,8 +8,10 @@ package driver
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -113,6 +115,49 @@ func TestAssembleLibraryMatchesRun(t *testing.T) {
 	}
 	if _, _, err := AssembleLibrary(groups, idx, quickOpts()); err == nil {
 		t.Fatalf("AssembleLibrary accepted an incomplete record set")
+	}
+}
+
+// TestAssembleLibraryCanonicalOrder: a library's bytes depend only on
+// each goal's rule set, not on the order in which the search found the
+// rules — shuffling every record's patterns before the fold leaves the
+// assembled bytes equal to the run's.
+func TestAssembleLibraryCanonicalOrder(t *testing.T) {
+	groups := QuickSetup()
+	gr := mustGoalRunner(t, groups, quickOpts())
+	recs := map[string]journal.GoalRecord{}
+	for _, k := range GoalKeys(groups) {
+		rec, err := gr.Run(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[rec.Key()] = rec
+	}
+	baseLib, _, err := AssembleLibrary(groups, recs, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := baseLib.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k, rec := range recs {
+		rec.Patterns = slices.Clone(rec.Patterns)
+		rng.Shuffle(len(rec.Patterns), func(i, j int) {
+			rec.Patterns[i], rec.Patterns[j] = rec.Patterns[j], rec.Patterns[i]
+		})
+		recs[k] = rec
+	}
+	lib, _, err := AssembleLibrary(groups, recs, quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("shuffled records assemble to different bytes:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }
 

@@ -121,6 +121,9 @@ type goalOut struct {
 	status   GoalStatus
 	attempts int
 	replayed bool
+	// derivedFrom names the goal a derived goal's rules come from
+	// (derive.go); empty for a searched goal.
+	derivedFrom string
 }
 
 // replayed is the outcome a journal record stands for: what a resumed
@@ -254,7 +257,9 @@ func (g *GoalRunner) journalAppend(key GoalKey, out goalOut) error {
 
 // logDone emits the goal's driver.goal.done event — its progress line —
 // and, for a goal quarantined in this process, driver.goal.quarantine.
-func (g *GoalRunner) logDone(key GoalKey, o goalOut) {
+// A derived goal's event carries derived_from, and its elapsed time is
+// the derivation's.
+func logDone(tr *obs.Tracer, key GoalKey, o goalOut) {
 	group, goal := key.Group, key.Goal
 	status, tag := "", o.status.String()
 	switch {
@@ -262,28 +267,33 @@ func (g *GoalRunner) logDone(key GoalKey, o goalOut) {
 		status, tag = " (replayed)", "replayed"
 	case o.status == StatusQuarantined:
 		status = " (quarantined)"
+	case o.derivedFrom != "":
+		status = " (derived from " + o.derivedFrom + ")"
 	case errors.Is(o.err, cegis.ErrDeadline):
 		status = " (timeout)"
 	case o.status == StatusRetried:
 		status = fmt.Sprintf(" (ok after %d attempts)", o.attempts)
 	}
 	ef := o.effort
-	g.tr.Eventf(obs.LevelInfo, "driver.goal.done",
-		[]obs.Arg{
-			obs.Str("group", group), obs.Str("goal", goal),
-			obs.Str("status", tag),
-			obs.Int("attempts", int64(o.attempts)),
-			obs.Int("patterns", int64(len(o.res.Patterns))),
-			obs.Int("elapsed_ms", o.res.Elapsed.Milliseconds()),
-			obs.Int("conflicts", ef.Conflicts),
-			obs.Int("timeouts", ef.QueryTimeouts),
-		},
+	args := []obs.Arg{
+		obs.Str("group", group), obs.Str("goal", goal),
+		obs.Str("status", tag),
+		obs.Int("attempts", int64(o.attempts)),
+		obs.Int("patterns", int64(len(o.res.Patterns))),
+		obs.Int("elapsed_ms", o.res.Elapsed.Milliseconds()),
+		obs.Int("conflicts", ef.Conflicts),
+		obs.Int("timeouts", ef.QueryTimeouts),
+	}
+	if o.derivedFrom != "" {
+		args = append(args, obs.Str("derived_from", o.derivedFrom))
+	}
+	tr.Eventf(obs.LevelInfo, "driver.goal.done", args,
 		"  %-24s %4d patterns in %s%s [checks %d+%d, conflicts %d, blast %.0f%%, cex reuse %d, kills %d, timeouts %d]\n",
 		goal, len(o.res.Patterns), o.res.Elapsed.Round(time.Millisecond), status,
 		ef.SynthQueries, ef.VerifyQueries, ef.Conflicts,
 		100*ef.BlastHitRate(), ef.CexReused, ef.PrefilterKills, ef.QueryTimeouts)
 	if o.status == StatusQuarantined && o.err != nil {
-		g.tr.Eventf(obs.LevelError, "driver.goal.quarantine",
+		tr.Eventf(obs.LevelError, "driver.goal.quarantine",
 			[]obs.Arg{obs.Str("group", group), obs.Str("goal", goal),
 				obs.Str("error", firstLine(o.err.Error()))},
 			"  %-24s      quarantined: %s\n", "", firstLine(o.err.Error()))

@@ -37,6 +37,10 @@ type GoalRun struct {
 	ElapsedMS       int64  `json:"elapsed_ms"`
 	Error           string `json:"error,omitempty"`
 	Replayed        bool   `json:"replayed,omitempty"`
+	// DerivedFrom names the goal a derived goal's rules come from; its
+	// row is finished by the fold, with the source's status and the
+	// derivation's elapsed time.
+	DerivedFrom string `json:"derived_from,omitempty"`
 }
 
 // RunSnapshot is the /goals JSON document.
@@ -57,13 +61,14 @@ type goalState struct {
 	// cex and multisets freeze the final attempt's live counters at
 	// finish time, so terminal rows keep their effort numbers after
 	// the engine is gone.
-	cex       int64
-	multisets int64
-	errText   string
-	replayed  bool
-	started   time.Time
-	elapsed   time.Duration // fixed at finish; zero while running
-	live      *cegis.LiveStats
+	cex         int64
+	multisets   int64
+	errText     string
+	replayed    bool
+	derivedFrom string
+	started     time.Time
+	elapsed     time.Duration // fixed at finish; zero while running
+	live        *cegis.LiveStats
 }
 
 // RunState publishes per-goal run state. Create with NewRunState and
@@ -142,6 +147,7 @@ func (s *RunState) finish(key string, out goalOut) {
 		g.status = out.status.String()
 	}
 	g.replayed = out.replayed
+	g.derivedFrom = out.derivedFrom
 	g.attempts = out.attempts
 	if out.attempts > 0 {
 		g.rung = out.attempts - 1
@@ -181,7 +187,7 @@ func (s *RunState) Snapshot() RunSnapshot {
 			Group: g.group, Goal: g.goal, Status: g.status,
 			Rung: g.rung, Attempts: g.attempts, Patterns: g.patterns,
 			Counterexamples: g.cex, Multisets: g.multisets,
-			Error: g.errText, Replayed: g.replayed,
+			Error: g.errText, Replayed: g.replayed, DerivedFrom: g.derivedFrom,
 		}
 		switch {
 		case g.elapsed != 0:

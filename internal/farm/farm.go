@@ -1,13 +1,15 @@
 // Package farm is the fault-tolerant distributed synthesis farm: a
-// lease-based coordinator that shards a setup's goal list across N
-// selgen worker processes and survives every crash the stack below it
-// can produce. Work assignment is by lease — a goal is granted to one
-// worker with a deadline; an expired lease is reclaimed and reassigned
-// with exponential backoff, and a goal that exhausts its attempt budget
-// is quarantined rather than wedging the run. Worker health is watched
-// two ways: process exit (the spawner's handle) and a heartbeat that
-// scrapes each worker's /metrics endpoint — a worker whose telemetry
-// stops answering is killed and its leases reclaimed like any crash.
+// lease-based coordinator that shards a setup's searched goals
+// (driver.Plan) across N selgen worker processes and survives every
+// crash the stack below it can produce. A goal the plan derives from
+// another gets no lease; the merge derives it. Work assignment is by
+// lease — a goal is granted to one worker with a deadline; an expired
+// lease is reclaimed and reassigned with exponential backoff, and a
+// goal that exhausts its attempt budget is quarantined rather than
+// wedging the run. Worker health is watched two ways: process exit
+// (the spawner's handle) and a heartbeat that scrapes each worker's
+// /metrics endpoint — a worker whose telemetry stops answering is
+// killed and its leases reclaimed like any crash.
 //
 // Every journal here is an internal/journal file. Each worker fsyncs
 // every finished goal into its own shard before reporting it, so a
@@ -20,7 +22,7 @@
 // (validating each header with journal.CheckHeader — the same
 // cross-ISA/configuration refusal a single-process resume applies),
 // then the coordinator journal's quarantine records for the goals no
-// shard holds, and folds them through driver.AssembleLibrary, whose
+// shard holds, and folds them through the plan's Assemble, whose
 // aggregation order makes the merged library byte-identical to an
 // uninterrupted single-process run, no matter which workers ran which
 // goals, in what order, or how many times a reclaimed lease made a goal
@@ -111,7 +113,8 @@ type Config struct {
 // farm section.
 type Report struct {
 	Workers     int           `json:"workers"`
-	Goals       int           `json:"goals"`
+	Goals       int           `json:"goals"`       // goals leased: the searched ones
+	Derived     int           `json:"derived"`     // goals the merge derives, never leased
 	Synthesized int           `json:"synthesized"` // completions received this run
 	Replayed    int           `json:"replayed"`    // already done at start (resume)
 	Granted     int           `json:"leases_granted"`
@@ -170,6 +173,7 @@ type workerState struct {
 
 type coordinator struct {
 	cfg        Config
+	plan       *driver.Plan
 	tr         *obs.Tracer
 	httpServer *http.Server
 
@@ -241,14 +245,21 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 		return nil, nil, fmt.Errorf("farm: %w", err)
 	}
 
+	// The lease table lists only the goals a run searches; the merge
+	// derives the others from the same plan.
+	plan, err := driver.NewPlan(cfg.Groups, cfg.Opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("farm: %w", err)
+	}
 	c := &coordinator{
 		cfg:      cfg,
+		plan:     plan,
 		tr:       tr,
 		byKey:    make(map[string]*goalEntry),
 		workers:  make(map[int]*workerState),
 		finished: make(chan struct{}),
 	}
-	for _, k := range driver.GoalKeys(cfg.Groups) {
+	for _, k := range plan.Searched() {
 		e := &goalEntry{key: k}
 		c.goals = append(c.goals, e)
 		c.byKey[k.Key()] = e
@@ -361,7 +372,7 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 			recs[q.Key()] = q
 		}
 	}
-	lib, drep, err := driver.AssembleLibrary(cfg.Groups, recs, cfg.Opts)
+	lib, drep, err := c.plan.Assemble(recs)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -442,6 +453,7 @@ func (c *coordinator) report(workers int, start time.Time) *Report {
 	sort.Strings(q)
 	return &Report{
 		Workers: workers, Goals: len(c.goals),
+		Derived:     len(driver.GoalKeys(c.cfg.Groups)) - len(c.goals),
 		Synthesized: c.synthesized, Replayed: c.replayed,
 		Granted: c.granted, Reclaimed: c.reclaimed,
 		Respawns: c.respawns, Kills: c.kills, Late: c.late,

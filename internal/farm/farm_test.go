@@ -16,6 +16,8 @@ import (
 	"selgen/internal/journal"
 	"selgen/internal/obs"
 	"selgen/internal/pattern"
+	"selgen/internal/riscv"
+	"selgen/internal/sem"
 )
 
 // farmSetup is the quickstart run every farm test distributes. The
@@ -116,6 +118,51 @@ func TestFarmMatchesSingleProcess(t *testing.T) {
 	}
 	if rep.Driver == nil || rep.Driver.Total.Goals != rep.Goals {
 		t.Fatalf("driver report missing or inconsistent: %+v", rep.Driver)
+	}
+}
+
+// TestFarmDerivedGoalsGetNoLease: over a setup with complementary
+// branch pairs, the coordinator leases only the searched goals, and the
+// merge derives the others to driver.Run's bytes.
+func TestFarmDerivedGoalsGetNoLease(t *testing.T) {
+	groups := []driver.Group{{Name: "Branches", MaxLen: 2, Goals: []*sem.Instr{
+		riscv.Branch(riscv.RelEq), riscv.Branch(riscv.RelLt),
+		riscv.Branch(riscv.RelNe), riscv.Branch(riscv.RelGe),
+	}}}
+	_, opts, _ := farmSetup()
+	hdr := journal.Header{
+		Version: journal.Version, Setup: "branches", Width: opts.Width,
+		ConfigHash: driver.ConfigHash(groups, opts),
+	}
+	baseLib, _, err := driver.Run(groups, opts)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	dir := t.TempDir()
+	lib, rep, err := Run(Config{
+		Groups: groups, Opts: opts, Header: hdr,
+		Dir: dir, Workers: 2,
+		Lease: 2 * time.Minute,
+		Spawn: inprocSpawner(groups, opts, hdr),
+	})
+	if err != nil {
+		t.Fatalf("farm run: %v", err)
+	}
+	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
+		t.Fatalf("farmed library differs from the single-process run")
+	}
+	if rep.Goals != 2 || rep.Granted != 2 || rep.Derived != 2 || rep.Driver.Total.Goals != 4 {
+		t.Fatalf("report: %d goals leased, %d grants, %d derived, %d merged; want 2, 2, 2, 4",
+			rep.Goals, rep.Granted, rep.Derived, rep.Driver.Total.Goals)
+	}
+	coord, err := journal.Read(CoordJournalPath(dir), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range coord.Attempts {
+		if key != "Branches/0/beq" && key != "Branches/1/blt" {
+			t.Fatalf("coordinator journal holds a lease for %s", key)
+		}
 	}
 }
 

@@ -37,6 +37,20 @@ func RelationName(r int) string {
 	return names[r]
 }
 
+// negatedRelation[r] is the relation that holds exactly where r does
+// not: the ten relations are closed under negation.
+var negatedRelation = [NumRelations]int{
+	RelEq: RelNe, RelNe: RelEq,
+	RelSlt: RelSge, RelSge: RelSlt,
+	RelSle: RelSgt, RelSgt: RelSle,
+	RelUlt: RelUge, RelUge: RelUlt,
+	RelUle: RelUgt, RelUgt: RelUle,
+}
+
+// NegateRelation returns the relation code whose Cmp is the negation
+// of rel's on every input. It panics on a code outside the domain.
+func NegateRelation(rel int) int { return negatedRelation[rel] }
+
 // CmpTerm builds the boolean term for relation code rel applied to x, y.
 func CmpTerm(b *bv.Builder, rel int, x, y *bv.Term) *bv.Term {
 	switch rel {

@@ -140,6 +140,9 @@ func TestCmpTermMatchesGoSemantics(t *testing.T) {
 			if got != c.want {
 				return false
 			}
+			if neg := bv.Eval(CmpTerm(b, NegateRelation(c.rel), x, y), m) == 1; neg == c.want {
+				return false
+			}
 		}
 		return true
 	}

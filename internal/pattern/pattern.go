@@ -317,6 +317,45 @@ func (l *Library) Dedup() int {
 	return dropped
 }
 
+// SortCanonical orders each goal's rules by cost, then size, then
+// strict fingerprint, and gathers them at the position of the goal's
+// first rule, so goals keep their order. After Dedup a goal holds no
+// two rules with one fingerprint, so the order is total and the
+// library's bytes depend only on its rule set, not on the order in
+// which a search found the rules.
+func (l *Library) SortCanonical() {
+	first := make(map[string]int)
+	type keyed struct {
+		goal, cost, size int
+		exact            string
+		rule             Rule
+	}
+	ks := make([]keyed, len(l.Rules))
+	for i, r := range l.Rules {
+		if _, ok := first[r.Goal]; !ok {
+			first[r.Goal] = i
+		}
+		ks[i] = keyed{goal: first[r.Goal], cost: r.Cost, size: r.Pattern.Size(),
+			exact: r.Pattern.exactKey(), rule: r}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
+		if a.goal != b.goal {
+			return a.goal < b.goal
+		}
+		if a.cost != b.cost {
+			return a.cost < b.cost
+		}
+		if a.size != b.size {
+			return a.size < b.size
+		}
+		return a.exact < b.exact
+	})
+	for i := range ks {
+		l.Rules[i] = ks[i].rule
+	}
+}
+
 // immArgs counts KindImm pattern arguments; rules that bind immediates
 // are preferred among same-size rules (they absorb a Const node).
 func (r *Rule) immArgs() int {

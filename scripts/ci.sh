@@ -120,6 +120,25 @@ cmp "$tmpdir/farmed.json" testdata/goldens/quick_x86.json || {
 	exit 1
 }
 
+# Derived-goal farm smoke: riscv basic has 26 goals, and 5 of them
+# (bne, bge, bgeu, ble, bleu) are their earlier branch's complement.
+# The coordinator must lease only the 21 searched goals, and the merge
+# must derive the other five to the bytes one selgen process writes.
+"$tmpdir/selfarm" -target riscv -setup basic -timeout 2m -workers 2 \
+	-selgen "$tmpdir/selgen" -dir "$tmpdir/farmderived" \
+	-o "$tmpdir/farmderived.json" >"$tmpdir/farmderived.out"
+grep -q 'farm: 21 lease(s) granted' "$tmpdir/farmderived.out" || {
+	echo "ci.sh: the riscv basic farm did not lease exactly its 21 searched goals:" >&2
+	cat "$tmpdir/farmderived.out" >&2
+	exit 1
+}
+"$tmpdir/selgen" -target riscv -setup basic -timeout 2m \
+	-o "$tmpdir/riscv_basic.json" >/dev/null
+cmp "$tmpdir/farmderived.json" "$tmpdir/riscv_basic.json" || {
+	echo "ci.sh: the riscv basic farm's library differs from selgen's" >&2
+	exit 1
+}
+
 # Coordinator kill, then an immediate resume: journal.kill SIGKILLs the
 # coordinator after its third durable lease grant, while its workers
 # may still be finishing a goal. The resume must wait until they let go
