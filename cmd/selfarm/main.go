@@ -7,9 +7,14 @@
 // Usage:
 //
 //	selfarm -workers 4 -setup full -o full.json
-//	selfarm -workers 4 -setup full -o full.json -lease 5m
 //	selfarm -resume -workers 4 -setup full -o full.json
 //	selfarm -target riscv -setup quick -workers 2 -o riscv.json
+//
+// Each goal runs on one clock: the retry ladder its worker climbs
+// (-timeout, then twice and four times that, -max-retries rungs deep).
+// A lease's deadline is twice that ladder's total (70 minutes at the
+// defaults; none with -timeout 0), and a worker that holds its goal
+// past it is killed and the goal reassigned.
 //
 // The farm's working directory (-dir, default <output>.farm) holds the
 // coordinator's lease journal and one journal shard per worker. Every
@@ -64,9 +69,6 @@ func run() int {
 		verbose   = flag.Bool("v", false, "pass worker stderr through and print farm events")
 
 		workers  = flag.Int("workers", 2, "worker processes to shard the goal list across")
-		lease    = flag.Duration("lease", 2*time.Minute, "per-goal lease deadline; an expired lease is reclaimed and reassigned")
-		attempts = flag.Int("max-attempts", 4, "lease grants per goal before it is quarantined")
-		backoff  = flag.Duration("backoff", 0, "base reclaim backoff, doubled per attempt (0 = lease/4)")
 		hb       = flag.Duration("heartbeat", 10*time.Second, "telemetry scrape interval for worker health (0 = off)")
 		respawns = flag.Int("max-respawns", 0, "worker respawn budget across the run (0 = 2 + 2×workers)")
 		dir      = flag.String("dir", "", "farm working directory for the coordinator journal and worker shards (default <output>.farm)")
@@ -212,9 +214,6 @@ func run() int {
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir:         *dir,
 		Workers:     *workers,
-		Lease:       *lease,
-		MaxAttempts: *attempts,
-		Backoff:     *backoff,
 		Heartbeat:   *hb,
 		MaxRespawns: *respawns,
 		Resume:      *resume,
@@ -240,8 +239,8 @@ func run() int {
 	rep.Driver.WriteTable(os.Stdout)
 	fmt.Printf("\nfarm: %d worker(s), %d goal(s) leased (%d synthesized, %d replayed), %d derived in the merge, %.2f goals/s\n",
 		rep.Workers, rep.Goals, rep.Synthesized, rep.Replayed, rep.Derived, rep.GoalsPerSec)
-	fmt.Printf("farm: %d lease(s) granted, %d reclaimed, %d late completion(s), %d respawn(s), %d heartbeat kill(s), %d shard duplicate(s)\n",
-		rep.Granted, rep.Reclaimed, rep.Late, rep.Respawns, rep.Kills, rep.Duplicates)
+	fmt.Printf("farm: %d lease(s) granted, %d reclaimed, %d respawn(s), %d kill(s), %d shard duplicate(s)\n",
+		rep.Granted, rep.Reclaimed, rep.Respawns, rep.Kills, rep.Duplicates)
 	if len(rep.Quarantined) > 0 {
 		fmt.Printf("farm: %d goal(s) quarantined: %v\n", len(rep.Quarantined), rep.Quarantined)
 	}

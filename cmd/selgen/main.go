@@ -189,10 +189,9 @@ func run() int {
 				return 1
 			}
 			opts.Resume = rec.Index()
-			opts.ResumeDuplicates = rec.Duplicates
 			if *verbose {
-				fmt.Fprintf(os.Stderr, "selgen: resuming from %s: %d goals recorded (%d duplicate(s) ignored), %d torn bytes truncated\n",
-					*resume, len(rec.Goals), len(rec.Duplicates), rec.TruncatedBytes)
+				fmt.Fprintf(os.Stderr, "selgen: resuming from %s: %d goals recorded, %d torn bytes truncated\n",
+					*resume, len(rec.Goals), rec.TruncatedBytes)
 			}
 		} else {
 			jw, err = journal.Create(*jpath, hdr)

@@ -133,12 +133,6 @@ type Report struct {
 	// RulesDominated counts rules the library-level dominance prune
 	// dropped (always 0 under Options.DisableCostAware).
 	RulesDominated int
-	// JournalDuplicates counts duplicated goal records found in the
-	// resume journal (Options.ResumeDuplicates): the first occurrence
-	// was replayed, the rest ignored. Non-zero only for journals merged
-	// from reassigned farm leases — a single-process journal never
-	// duplicates a goal, so the count doubles as a corruption signal.
-	JournalDuplicates int
 	// Interrupted marks a run stopped early by Options.Stop: every
 	// finished goal is journaled and reported, the rest were never
 	// started.
@@ -178,10 +172,6 @@ func (r *Report) WriteTable(w io.Writer) {
 				fmt.Fprintf(w, "  quarantined: %s/%s\n", g.Name, name)
 			}
 		}
-	}
-	if r.JournalDuplicates > 0 {
-		fmt.Fprintf(w, "%-12s %d duplicate journal record(s) ignored (first occurrence replayed)\n",
-			"Journal", r.JournalDuplicates)
 	}
 	if r.Interrupted {
 		fmt.Fprintf(w, "%-12s run stopped early; %d goal(s) finished, the rest never started\n",
@@ -347,11 +337,6 @@ type Options struct {
 	// synthesized, and are not re-appended. Populate it from
 	// journal.Resume's Recovered.Index().
 	Resume map[string]journal.GoalRecord
-	// ResumeDuplicates lists the duplicated record keys the journal
-	// scan ignored (journal.Recovered.Duplicates). Run logs each as a
-	// driver.journal.duplicate event and surfaces the count in the
-	// report, so a duplicate never passes silently.
-	ResumeDuplicates []string
 	// Stop, when non-nil, requests a graceful early exit: Run checks it
 	// before starting each goal, lets the goals already in flight
 	// finish (and journal), skips the rest, and returns ErrInterrupted
@@ -428,15 +413,6 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 		}
 	}
 
-	if n := len(opts.ResumeDuplicates); n > 0 {
-		tr.Add("driver.journal.duplicate", int64(n))
-		for _, key := range opts.ResumeDuplicates {
-			tr.Eventf(obs.LevelWarn, "driver.journal.duplicate",
-				[]obs.Arg{obs.Str("key", key)},
-				"  journal: duplicate record for %s ignored (first occurrence replayed)\n", key)
-		}
-	}
-
 	outs := make([]*goalOut, len(plan.keys))
 	work := plan.searched()
 	var next atomic.Int64
@@ -464,7 +440,6 @@ func Run(groups []Group, opts Options) (*pattern.Library, *Report, error) {
 
 	lib, rep := plan.fold(outs, tr)
 	rep.Metrics = tr.Metrics()
-	rep.JournalDuplicates = len(opts.ResumeDuplicates)
 	if slices.Contains(outs, nil) {
 		rep.Interrupted = true
 		tr.Add("driver.interrupted", 1)

@@ -402,31 +402,6 @@ func TestRunInterruptedThenResumed(t *testing.T) {
 	}
 }
 
-// TestResumeDuplicatesSurfaced: duplicate journal records (a reclaimed
-// farm lease finishing twice) are counted, logged, and shown in the
-// report — never silently trusted.
-func TestResumeDuplicatesSurfaced(t *testing.T) {
-	tr := obs.New()
-	opts := quickOpts()
-	opts.Obs = tr
-	opts.ResumeDuplicates = []string{"Quick/0/inc", "Quick/2/add"}
-	_, rep, err := Run(QuickSetup(), opts)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if rep.JournalDuplicates != 2 {
-		t.Fatalf("JournalDuplicates = %d, want 2", rep.JournalDuplicates)
-	}
-	if got := tr.Metrics().CounterValue("driver.journal.duplicate"); got != 2 {
-		t.Fatalf("driver.journal.duplicate = %d, want 2", got)
-	}
-	var buf bytes.Buffer
-	rep.WriteTable(&buf)
-	if !bytes.Contains(buf.Bytes(), []byte("2 duplicate journal record(s)")) {
-		t.Fatalf("table does not surface the duplicates:\n%s", buf.String())
-	}
-}
-
 func mustGoalRunner(t *testing.T, groups []Group, opts Options) *GoalRunner {
 	t.Helper()
 	gr, err := NewGoalRunner(groups, opts)

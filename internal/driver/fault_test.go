@@ -135,14 +135,13 @@ func TestRetryLadderShape(t *testing.T) {
 	for _, tc := range []struct {
 		retries int
 		timeout time.Duration
-		want    []rung
+		want    []Rung
 	}{
-		{0, T, []rung{{T, false}, {2 * T, false}, {4 * T, true}}},
-		{3, T, []rung{{T, false}, {2 * T, false}, {4 * T, true}, {4 * T, true}}},
-		{0, 0, []rung{{0, false}, {0, false}, {0, true}}},
+		{0, T, []Rung{{T, false}, {2 * T, false}, {4 * T, true}}},
+		{3, T, []Rung{{T, false}, {2 * T, false}, {4 * T, true}, {4 * T, true}}},
+		{0, 0, []Rung{{0, false}, {0, false}, {0, true}}},
 	} {
-		g := &GoalRunner{opts: Options{MaxRetries: tc.retries, PerGoalTimeout: tc.timeout}}
-		if got := g.ladder(); !reflect.DeepEqual(got, tc.want) {
+		if got := Ladder(Options{MaxRetries: tc.retries, PerGoalTimeout: tc.timeout}); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("MaxRetries %d, timeout %v: ladder %+v, want %+v", tc.retries, tc.timeout, got, tc.want)
 		}
 	}

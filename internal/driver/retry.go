@@ -75,32 +75,34 @@ var ErrGoalPanic = errors.New("driver: goal panicked")
 // DefaultRetries is the ladder depth used when Options.MaxRetries is 0.
 const DefaultRetries = 2
 
-// rung is one step of the retry ladder: the resources granted to one
+// Rung is one step of the retry ladder: the resources granted to one
 // synthesis attempt.
-type rung struct {
-	timeout time.Duration
-	// classical reverts to the non-incremental CEGIS pipeline — fresh
+type Rung struct {
+	// Timeout is the attempt's wall-clock budget (0 = none).
+	Timeout time.Duration
+	// Classical reverts to the non-incremental CEGIS pipeline — fresh
 	// solver state per multiset and per query — trading speed for
 	// minimal shared state, the last resort when incremental runs keep
 	// blowing the budget.
-	classical bool
+	Classical bool
 }
 
-// ladder returns the attempt sequence for one goal. Rung 0 is the
-// configured budget; rung 1 doubles the timeout; rung 2 quadruples the
-// timeout (the cap) and falls back to classical CEGIS; deeper ladders
-// repeat the rung-2 shape.
-func (g *GoalRunner) ladder() []rung {
-	base := rung{timeout: g.opts.PerGoalTimeout}
-	retries := g.opts.MaxRetries
+// Ladder returns the attempt sequence one goal runs under opts. Rung 0
+// is the configured budget (PerGoalTimeout); rung 1 doubles the
+// timeout; rung 2 quadruples the timeout (the cap) and falls back to
+// classical CEGIS; deeper ladders (MaxRetries) repeat the rung-2 shape.
+// The farm coordinator derives each lease's deadline from it.
+func Ladder(opts Options) []Rung {
+	base := Rung{Timeout: opts.PerGoalTimeout}
+	retries := opts.MaxRetries
 	if retries == 0 {
 		retries = DefaultRetries
 	}
-	rungs := []rung{base}
+	rungs := []Rung{base}
 	for i := 1; i <= retries; i++ {
-		rungs = append(rungs, rung{
-			timeout:   base.timeout * time.Duration(1<<min(i, 2)),
-			classical: i >= 2,
+		rungs = append(rungs, Rung{
+			Timeout:   base.Timeout * time.Duration(1<<min(i, 2)),
+			Classical: i >= 2,
 		})
 	}
 	return rungs
@@ -146,7 +148,7 @@ func replayed(rec journal.GoalRecord) goalOut {
 // exhausting the ladder on retryable errors degrades it, keeping the
 // last attempt's verified partial patterns.
 func (g *GoalRunner) synthesizeWithRetries(grp Group, key string, goal *sem.Instr, goalOps []*sem.Instr, perGoal int) goalOut {
-	rungs := g.ladder()
+	rungs := Ladder(g.opts)
 	var out goalOut
 	for ai, rg := range rungs {
 		var live *cegis.LiveStats
@@ -197,7 +199,7 @@ func (g *GoalRunner) synthesizeWithRetries(grp Group, key string, goal *sem.Inst
 // the driver's panic boundary: whatever escapes the engine (or the
 // engine construction itself) is converted to an error wrapping
 // ErrGoalPanic, with the stack attached for the quarantine report.
-func (g *GoalRunner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, perGoal int, rg rung, live *cegis.LiveStats) (res *cegis.Result, effort SolverEffort, err error) {
+func (g *GoalRunner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, perGoal int, rg Rung, live *cegis.LiveStats) (res *cegis.Result, effort SolverEffort, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			g.tr.Add("driver.goal_panics", 1)
@@ -216,14 +218,14 @@ func (g *GoalRunner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Inst
 		MaxPatternsPerMultiset: grp.MaxPatternsPerMultiset,
 		FreezeArgWitnesses:     grp.FreezeArgWitnesses,
 		Seed:                   g.opts.Seed,
-		DisableIncremental:     rg.classical,
+		DisableIncremental:     rg.Classical,
 		DisableCostAware:       g.opts.DisableCostAware,
 		Obs:                    g.tr,
 		Live:                   live,
 		Faults:                 g.opts.Faults,
 	}
-	if rg.timeout > 0 {
-		cfg.Deadline = time.Now().Add(rg.timeout)
+	if rg.Timeout > 0 {
+		cfg.Deadline = time.Now().Add(rg.Timeout)
 	}
 	e := cegis.New(goalOps, cfg)
 	// Registered after the engine exists, so an attempt that panics

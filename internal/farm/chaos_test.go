@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"selgen/internal/driver"
 	"selgen/internal/failpoint"
@@ -117,9 +116,7 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 2,
-		Lease:   2 * time.Minute,
-		Backoff: 50 * time.Millisecond,
-		Spawn:   spawn,
+		Spawn: spawn,
 	})
 	if err != nil {
 		t.Fatalf("farm run: %v", err)
@@ -158,7 +155,6 @@ func TestFarmCoordinatorHelper(t *testing.T) {
 	_, _, err = Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: dir, Workers: 2,
-		Lease:  2 * time.Minute,
 		Spawn:  inprocSpawner(groups, opts, hdr),
 		Faults: faults,
 	})
@@ -200,7 +196,6 @@ func TestChaosCoordinatorKillThenResume(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: dir, Workers: 2,
-		Lease:  2 * time.Minute,
 		Spawn:  inprocSpawner(groups, opts, hdr),
 		Resume: true,
 	})

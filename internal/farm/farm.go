@@ -3,13 +3,15 @@
 // (driver.Plan) across N selgen worker processes and survives every
 // crash the stack below it can produce. A goal the plan derives from
 // another gets no lease; the merge derives it. Work assignment is by
-// lease — a goal is granted to one worker with a deadline; an expired
-// lease is reclaimed and reassigned with exponential backoff, and a
-// goal that exhausts its attempt budget is quarantined rather than
-// wedging the run. Worker health is watched two ways: process exit
-// (the spawner's handle) and a heartbeat that scrapes each worker's
-// /metrics endpoint — a worker whose telemetry stops answering is
-// killed and its leases reclaimed like any crash.
+// lease — a goal is granted to one worker, with a deadline derived from
+// the retry ladder the worker runs it up (its one clock), and is lost
+// only with its lessee: the worker exits, or asks for another goal. A
+// lessee past its deadline is killed, and a goal that loses
+// maxAttempts leases is quarantined rather than wedging the run.
+// Worker health is watched two ways: process exit (the spawner's
+// handle) and a heartbeat that scrapes each worker's /metrics endpoint
+// — a worker whose telemetry stops answering is killed and its lease
+// reclaimed like any crash.
 //
 // Every journal here is an internal/journal file. Each worker fsyncs
 // every finished goal into its own shard before reporting it, so a
@@ -25,14 +27,14 @@
 // shard holds, and folds them through the plan's Assemble, whose
 // aggregation order makes the merged library byte-identical to an
 // uninterrupted single-process run, no matter which workers ran which
-// goals, in what order, or how many times a reclaimed lease made a goal
-// finish twice.
+// goals, in what order, or how many shards a goal finished in.
 package farm
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -81,14 +83,6 @@ type Config struct {
 	Dir string
 	// Workers is the number of worker processes (≥ 1).
 	Workers int
-	// Lease is each grant's deadline (default 2m). A goal not completed
-	// within it is reclaimed and reassigned.
-	Lease time.Duration
-	// MaxAttempts caps grants per goal before quarantine (default 4).
-	MaxAttempts int
-	// Backoff is the base reclaim backoff, doubled per attempt
-	// (default Lease/4).
-	Backoff time.Duration
 	// Heartbeat is the telemetry scrape interval (0 = heartbeat off).
 	// stallScrapes consecutive failed scrapes condemn a worker.
 	Heartbeat time.Duration
@@ -120,9 +114,8 @@ type Report struct {
 	Granted     int           `json:"leases_granted"`
 	Reclaimed   int           `json:"leases_reclaimed"`
 	Respawns    int           `json:"respawns"`
-	Kills       int           `json:"heartbeat_kills"`
-	Late        int           `json:"late_completions"` // finished after reclaim
-	Duplicates  int           `json:"shard_duplicates"` // duplicate records across shards
+	Kills       int           `json:"kills"`            // failed heartbeats or a passed lease deadline
+	Duplicates  int           `json:"shard_duplicates"` // records of one goal in several shards
 	Quarantined []string      `json:"quarantined,omitempty"`
 	Elapsed     time.Duration `json:"-"`
 	GoalsPerSec float64       `json:"goals_per_sec"`
@@ -145,6 +138,27 @@ func CoordJournalPath(dir string) string {
 // condemn a worker.
 const stallScrapes = 3
 
+// maxAttempts is how many leases a goal may lose (each with its
+// lessee) before it is quarantined; a goal that exhausts its synthesis
+// budget degrades on the worker's retry ladder within one lease.
+const maxAttempts = 4
+
+// pollInterval is how long an idle worker waits before asking again.
+const pollInterval = time.Second
+
+// leaseDeadline is how long one lessee may hold a goal under opts:
+// twice the sum of the rung timeouts of driver.Ladder, the one budget a
+// goal has, which leaves room for its set-up, its journal append and a
+// solver call that overruns its rung. It is 0 (no deadline) when opts
+// sets no per-goal timeout.
+func leaseDeadline(opts driver.Options) time.Duration {
+	var total time.Duration
+	for _, r := range driver.Ladder(opts) {
+		total += r.Timeout
+	}
+	return 2 * total
+}
+
 type goalState int
 
 const (
@@ -155,12 +169,11 @@ const (
 )
 
 type goalEntry struct {
-	key       driver.GoalKey
-	state     goalState
-	owner     int
-	deadline  time.Time
-	notBefore time.Time
-	attempts  int
+	key      driver.GoalKey
+	state    goalState
+	owner    int
+	deadline time.Time // zero: none, or its lessee is already being killed
+	attempts int
 }
 
 type workerState struct {
@@ -176,6 +189,7 @@ type coordinator struct {
 	plan       *driver.Plan
 	tr         *obs.Tracer
 	httpServer *http.Server
+	term       time.Duration // leaseDeadline (0 = no deadline)
 
 	mu        sync.Mutex
 	goals     []*goalEntry
@@ -192,9 +206,9 @@ type coordinator struct {
 	// returns (a Resume run's new worker would interleave with it).
 	exits sync.WaitGroup
 
-	granted, reclaimed, respawns, kills, late int
-	synthesized, replayed                     int
-	quarantined                               []string
+	granted, reclaimed, respawns, kills int
+	synthesized, replayed               int
+	quarantined                         []string
 }
 
 func (c *coordinator) maybeFinish() {
@@ -225,46 +239,19 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	if cfg.Opts.Journal != nil || cfg.Opts.Resume != nil || cfg.Opts.Stop != nil {
 		return nil, nil, errors.New("farm: Opts.Journal/Resume/Stop are owned by the farm; leave them nil")
 	}
-	if cfg.Lease <= 0 {
-		cfg.Lease = 2 * time.Minute
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = cfg.Lease / 4
-	}
 	if cfg.MaxRespawns <= 0 {
 		cfg.MaxRespawns = 2 + 2*cfg.Workers
 	}
-	tr := cfg.Obs
-	if tr == nil {
-		tr = obs.New()
+	if cfg.Obs == nil {
+		cfg.Obs = obs.New()
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("farm: %w", err)
 	}
-
-	// The lease table lists only the goals a run searches; the merge
-	// derives the others from the same plan.
-	plan, err := driver.NewPlan(cfg.Groups, cfg.Opts)
+	c, err := newCoordinator(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("farm: %w", err)
+		return nil, nil, err
 	}
-	c := &coordinator{
-		cfg:      cfg,
-		plan:     plan,
-		tr:       tr,
-		byKey:    make(map[string]*goalEntry),
-		workers:  make(map[int]*workerState),
-		finished: make(chan struct{}),
-	}
-	for _, k := range plan.Searched() {
-		e := &goalEntry{key: k}
-		c.goals = append(c.goals, e)
-		c.byKey[k.Key()] = e
-	}
-	c.remaining = len(c.goals)
 
 	if cfg.Resume {
 		if err := c.resume(); err != nil {
@@ -314,7 +301,9 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 
 		stopTick := make(chan struct{})
 		defer close(stopTick)
-		go c.reclaimLoop(stopTick)
+		if c.term > 0 {
+			go c.deadlineLoop(stopTick)
+		}
 		if cfg.Heartbeat > 0 {
 			go c.heartbeatLoop(stopTick)
 		}
@@ -381,7 +370,7 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	if s := rep.Elapsed.Seconds(); s > 0 {
 		rep.GoalsPerSec = float64(rep.Goals) / s
 	}
-	tr.Eventf(obs.LevelInfo, "farm.done",
+	c.tr.Eventf(obs.LevelInfo, "farm.done",
 		[]obs.Arg{obs.Int("goals", int64(rep.Goals)), obs.Int("rules", int64(len(lib.Rules))),
 			obs.Int("reclaimed", int64(rep.Reclaimed)), obs.Int("respawns", int64(rep.Respawns))},
 		"farm: %d goal(s) → %d rule(s) on %d worker(s) in %s (%d lease(s) reclaimed, %d respawn(s))\n",
@@ -390,26 +379,64 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	return lib, rep, nil
 }
 
+// newCoordinator builds the lease table. It lists only the goals a run
+// searches, in plan order; the merge derives the others from the same
+// plan.
+func newCoordinator(cfg Config) (*coordinator, error) {
+	plan, err := driver.NewPlan(cfg.Groups, cfg.Opts)
+	if err != nil {
+		return nil, fmt.Errorf("farm: %w", err)
+	}
+	c := &coordinator{
+		cfg:      cfg,
+		plan:     plan,
+		tr:       cfg.Obs,
+		term:     leaseDeadline(cfg.Opts),
+		byKey:    make(map[string]*goalEntry),
+		workers:  make(map[int]*workerState),
+		finished: make(chan struct{}),
+	}
+	for _, k := range plan.Searched() {
+		e := &goalEntry{key: k}
+		c.goals = append(c.goals, e)
+		c.byKey[k.Key()] = e
+	}
+	c.remaining = len(c.goals)
+	return c, nil
+}
+
 // resume rebuilds the lease table after coordinator death. A goal is
 // done when some shard holds its record; the coordinator journal then
-// restores each goal's attempt count (so the backoff and quarantine
-// ladder continues where the dead coordinator left it) and its
-// quarantines. A lease without a completion simply lapses: the goal
-// returns to the pending pool with its attempt count intact.
+// restores each goal's attempt count (so the quarantine cap continues
+// where the dead coordinator left it) and its quarantines. A lease
+// without a completion simply lapses: the goal returns to the pending
+// pool with its attempt count intact.
 //
 // A worker of the dead coordinator may still be finishing its goal: it
 // appends the record to its shard, fails to report it, and exits. So
 // the shards are read only once no process holds one (journal's
-// single-writer lock), waiting at most one lease; the late record then
-// counts as done instead of being leased again.
+// single-writer lock), waiting at most one lease deadline (without
+// bound when leases have none); the late record then counts as done
+// instead of being leased again.
 func (c *coordinator) resume() error {
 	paths, err := shardPaths(c.cfg.Dir)
 	if err != nil {
 		return err
 	}
+	limit, bound := c.term, c.term.String()
+	if limit == 0 {
+		limit, bound = math.MaxInt64, "no deadline"
+	}
 	for _, p := range paths {
-		if err := journal.WaitUnlocked(p, c.cfg.Lease); err != nil {
-			return fmt.Errorf("farm: resume waited %s for a shard's writer: %w", c.cfg.Lease, err)
+		err := journal.WaitUnlocked(p, 0)
+		if errors.Is(err, journal.ErrLocked) {
+			c.tr.Eventf(obs.LevelInfo, "farm.resume.wait",
+				[]obs.Arg{obs.Str("shard", p)},
+				"farm: waiting for the writer of shard %s to exit (%s)\n", p, bound)
+			err = journal.WaitUnlocked(p, limit)
+		}
+		if err != nil {
+			return fmt.Errorf("farm: resume waited for a shard's writer (%s): %w", bound, err)
 		}
 	}
 	done, _, err := mergeShards(c.cfg.Header, paths)
@@ -456,7 +483,7 @@ func (c *coordinator) report(workers int, start time.Time) *Report {
 		Derived:     len(driver.GoalKeys(c.cfg.Groups)) - len(c.goals),
 		Synthesized: c.synthesized, Replayed: c.replayed,
 		Granted: c.granted, Reclaimed: c.reclaimed,
-		Respawns: c.respawns, Kills: c.kills, Late: c.late,
+		Respawns: c.respawns, Kills: c.kills,
 		Quarantined: q,
 		Elapsed:     time.Since(start),
 	}
@@ -533,10 +560,9 @@ func (c *coordinator) workerExited(id, gen int, url string, err error) {
 	c.tr.Eventf(level, "farm.worker.exit",
 		[]obs.Arg{obs.Int("worker", int64(id))},
 		"farm: worker %d %s\n", id, what)
-	now := time.Now()
 	for _, e := range c.goals {
 		if e.state == gsLeased && e.owner == id {
-			c.reclaimLocked(e, now, "owner died")
+			c.reclaimLocked(e, "owner died")
 		}
 	}
 	if c.remaining == 0 {
@@ -583,80 +609,71 @@ func (c *coordinator) register(id int, hdr journal.Header, telemetry string) err
 	return nil
 }
 
-// lease grants the next available goal. The grant is journaled before
-// the response is built, so a coordinator crash between the two leaves
-// a lease that resume simply lets lapse back into the pending pool.
+// lease grants worker the pending goal with the fewest attempts, ties
+// in plan order, so a goal that lost a lease waits behind every goal
+// that has not. The worker loop is sequential: a worker that asks for
+// a goal holds none, so a goal still leased to it was never received
+// or has been given up, and is reclaimed first. The grant is journaled
+// before the response is built, so a coordinator crash between the two
+// leaves a lease that resume simply lets lapse back into the pending
+// pool.
 func (c *coordinator) lease(worker int) (leaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.remaining == 0 || c.done {
+	if !c.done {
+		for _, e := range c.goals {
+			if e.state == gsLeased && e.owner == worker {
+				c.reclaimLocked(e, "lessee asked for another goal")
+			}
+		}
+	}
+	if c.done {
 		return leaseResponse{Done: true}, nil
 	}
-	now := time.Now()
-	for _, e := range c.goals {
-		if e.state != gsPending || now.Before(e.notBefore) {
-			continue
-		}
-		e.attempts++
-		if err := c.jw.AppendLease(journal.Lease{Key: e.key.Key(), Attempt: e.attempts}); err != nil {
-			c.fail(err)
-			return leaseResponse{}, err
-		}
-		e.state = gsLeased
-		e.owner = worker
-		e.deadline = now.Add(c.cfg.Lease)
-		c.granted++
-		c.tr.Add("farm.lease.granted", 1)
-		c.tr.Eventf(obs.LevelDebug, "farm.lease.grant",
-			[]obs.Arg{obs.Str("key", e.key.Key()), obs.Int("worker", int64(worker)),
-				obs.Int("attempt", int64(e.attempts))},
-			"farm: lease %s → worker %d (attempt %d)\n", e.key.Key(), worker, e.attempts)
-		if c.cfg.Faults.Active(failpoint.FarmLeaseGrant) {
-			// The grant is recorded but the response is dropped: the
-			// worker never learns of it, the lease sits idle until its
-			// deadline, and the expiry → reclaim → reassign path runs.
-			c.tr.Eventf(obs.LevelWarn, "farm.lease.dropped",
-				[]obs.Arg{obs.Str("key", e.key.Key())},
-				"farm: injected drop of lease grant %s\n", e.key.Key())
-			return leaseResponse{WaitMS: c.waitHintLocked(now)}, nil
-		}
-		return leaseResponse{
-			Key:     &goalKeyWire{Group: e.key.Group, Index: e.key.Index, Goal: e.key.Goal},
-			LeaseMS: c.cfg.Lease.Milliseconds(),
-		}, nil
-	}
-	return leaseResponse{WaitMS: c.waitHintLocked(now)}, nil
-}
-
-// waitHintLocked tells an idle worker how long to sleep before polling
-// again: until the nearest backoff expiry or lease deadline, clamped to
-// [10ms, 1s].
-func (c *coordinator) waitHintLocked(now time.Time) int64 {
-	next := now.Add(time.Second)
-	for _, e := range c.goals {
-		switch e.state {
-		case gsPending:
-			if e.notBefore.After(now) && e.notBefore.Before(next) {
-				next = e.notBefore
-			}
-		case gsLeased:
-			if e.deadline.Before(next) {
-				next = e.deadline
-			}
+	var e *goalEntry
+	for _, g := range c.goals {
+		if g.state == gsPending && (e == nil || g.attempts < e.attempts) {
+			e = g
 		}
 	}
-	ms := time.Until(next).Milliseconds()
-	if ms < 10 {
-		ms = 10
+	if e == nil {
+		return leaseResponse{WaitMS: pollInterval.Milliseconds()}, nil
 	}
-	return ms
+	e.attempts++
+	if err := c.jw.AppendLease(journal.Lease{Key: e.key.Key(), Attempt: e.attempts}); err != nil {
+		c.fail(err)
+		return leaseResponse{}, err
+	}
+	e.state = gsLeased
+	e.owner = worker
+	if c.term > 0 {
+		e.deadline = time.Now().Add(c.term)
+	}
+	c.granted++
+	c.tr.Add("farm.lease.granted", 1)
+	c.tr.Eventf(obs.LevelDebug, "farm.lease.grant",
+		[]obs.Arg{obs.Str("key", e.key.Key()), obs.Int("worker", int64(worker)),
+			obs.Int("attempt", int64(e.attempts))},
+		"farm: lease %s → worker %d (attempt %d)\n", e.key.Key(), worker, e.attempts)
+	if c.cfg.Faults.Active(failpoint.FarmLeaseGrant) {
+		// The grant is recorded but the response is dropped: the
+		// worker never learns of it, and its next poll reclaims the
+		// goal for reassignment.
+		c.tr.Eventf(obs.LevelWarn, "farm.lease.dropped",
+			[]obs.Arg{obs.Str("key", e.key.Key())},
+			"farm: injected drop of lease grant %s\n", e.key.Key())
+		return leaseResponse{WaitMS: pollInterval.Milliseconds()}, nil
+	}
+	return leaseResponse{
+		Key: &goalKeyWire{Group: e.key.Group, Index: e.key.Index, Goal: e.key.Goal},
+	}, nil
 }
 
 // complete records a finished goal. Nothing is journaled: the worker
-// appended the record to its shard before reporting it. Work is
-// accepted even from a worker whose lease was reclaimed — synthesis is
-// deterministic, so the copies agree; the merge dedups and the report
-// counts the late finish.
+// appended the record to its shard before reporting it. A record for a
+// goal no longer leased to that worker is accepted too: it comes from
+// outside the coordinator and is durable in a shard, and synthesis is
+// deterministic, so every copy agrees and the merge dedups.
 func (c *coordinator) complete(worker int, rec journal.GoalRecord) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -665,14 +682,9 @@ func (c *coordinator) complete(worker int, rec journal.GoalRecord) error {
 		return fmt.Errorf("farm: completion for unknown goal %s", rec.Key())
 	}
 	if e.state == gsDone {
-		c.late++
-		c.tr.Add("farm.complete.late", 1)
 		return nil
 	}
 	wasQuarantined := e.state == gsQuarantined
-	if e.state == gsLeased && e.owner != worker {
-		c.late++
-	}
 	e.state = gsDone
 	c.synthesized++
 	if !wasQuarantined {
@@ -696,9 +708,9 @@ func (c *coordinator) complete(worker int, rec journal.GoalRecord) error {
 	return nil
 }
 
-// reclaimLocked returns a leased goal to the pending pool (or
-// quarantines it past the attempt cap); c.mu held.
-func (c *coordinator) reclaimLocked(e *goalEntry, now time.Time, why string) {
+// reclaimLocked returns a leased goal to the pending pool, or
+// quarantines it once it has lost maxAttempts leases; c.mu held.
+func (c *coordinator) reclaimLocked(e *goalEntry, why string) {
 	c.reclaimed++
 	c.tr.Add("farm.lease.reclaimed", 1)
 	c.tr.Eventf(obs.LevelWarn, "farm.lease.reclaim",
@@ -706,7 +718,7 @@ func (c *coordinator) reclaimLocked(e *goalEntry, now time.Time, why string) {
 			obs.Int("attempt", int64(e.attempts)), obs.Str("why", why)},
 		"farm: reclaiming lease %s from worker %d (%s, attempt %d)\n",
 		e.key.Key(), e.owner, why, e.attempts)
-	if e.attempts >= c.cfg.MaxAttempts {
+	if e.attempts >= maxAttempts {
 		if err := c.jw.Append(journal.GoalRecord{
 			Group: e.key.Group, Index: e.key.Index, Goal: e.key.Goal,
 			Status:   driver.StatusQuarantined.String(),
@@ -727,21 +739,25 @@ func (c *coordinator) reclaimLocked(e *goalEntry, now time.Time, why string) {
 		return
 	}
 	e.state = gsPending
-	// Exponential backoff: a goal that keeps killing its lease waits
-	// longer each round, so a poison pill cannot monopolize the fleet.
-	e.notBefore = now.Add(c.cfg.Backoff << (e.attempts - 1))
 }
 
-// reclaimLoop sweeps expired leases.
-func (c *coordinator) reclaimLoop(stop <-chan struct{}) {
-	tick := c.cfg.Lease / 8
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > 2*time.Second {
-		tick = 2 * time.Second
-	}
-	t := time.NewTicker(tick)
+// condemnLocked records the kill of worker ws and returns its handle,
+// for the caller to kill once c.mu is released; the exit monitor then
+// reclaims its lease, and the respawn budget decides whether it is
+// replaced (c.mu held).
+func (c *coordinator) condemnLocked(ws *workerState, why string) Handle {
+	c.kills++
+	c.tr.Add("farm.worker.killed", 1)
+	c.tr.Eventf(obs.LevelWarn, "farm.worker.kill",
+		[]obs.Arg{obs.Int("worker", int64(ws.id)), obs.Str("why", why)},
+		"farm: killing worker %d: %s\n", ws.id, why)
+	return ws.handle
+}
+
+// deadlineLoop kills the lessee of every lease past its deadline. A
+// lessee that is already gone has its lease reclaimed here instead.
+func (c *coordinator) deadlineLoop(stop <-chan struct{}) {
+	t := time.NewTicker(min(max(c.term/8, 10*time.Millisecond), 2*time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -750,20 +766,30 @@ func (c *coordinator) reclaimLoop(stop <-chan struct{}) {
 		case <-t.C:
 		}
 		now := time.Now()
+		var doomed []Handle
 		c.mu.Lock()
 		for _, e := range c.goals {
-			if e.state == gsLeased && now.After(e.deadline) {
-				c.reclaimLocked(e, now, "lease expired")
+			if e.state != gsLeased || e.deadline.IsZero() || now.Before(e.deadline) {
+				continue
+			}
+			e.deadline = time.Time{}
+			why := fmt.Sprintf("%s outlived its %s lease deadline", e.key.Key(), c.term)
+			if ws := c.workers[e.owner]; ws != nil && ws.handle != nil {
+				doomed = append(doomed, c.condemnLocked(ws, why))
+			} else {
+				c.reclaimLocked(e, why)
 			}
 		}
 		c.mu.Unlock()
+		for _, h := range doomed {
+			h.Kill()
+		}
 	}
 }
 
 // heartbeatLoop scrapes every registered worker's /metrics, which
 // answers "is the process serving at all". stallScrapes consecutive
-// failures condemn the worker: it is killed, its exit reclaims its
-// leases, and the respawn budget decides whether it is replaced.
+// failures condemn the worker (condemnLocked).
 func (c *coordinator) heartbeatLoop(stop <-chan struct{}) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	t := time.NewTicker(c.cfg.Heartbeat)
@@ -806,14 +832,9 @@ func (c *coordinator) heartbeatLoop(stop <-chan struct{}) {
 			ws.stalls++
 			c.tr.Add("farm.heartbeat.failed", 1)
 			if ws.stalls >= stallScrapes {
-				c.kills++
-				c.tr.Add("farm.worker.killed", 1)
-				c.tr.Eventf(obs.LevelWarn, "farm.worker.kill",
-					[]obs.Arg{obs.Int("worker", int64(p.id)), obs.Int("stalls", int64(ws.stalls))},
-					"farm: killing worker %d after %d failed heartbeat(s)\n", p.id, ws.stalls)
-				h := ws.handle
+				h := c.condemnLocked(ws, fmt.Sprintf("%d failed heartbeat(s)", ws.stalls))
 				c.mu.Unlock()
-				h.Kill() // exit monitor reclaims leases and respawns
+				h.Kill() // exit monitor reclaims the lease and respawns
 				continue
 			}
 			c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"selgen/internal/pattern"
 	"selgen/internal/riscv"
 	"selgen/internal/sem"
+	"selgen/internal/x86"
 )
 
 // farmSetup is the quickstart run every farm test distributes. The
@@ -95,7 +97,6 @@ func TestFarmMatchesSingleProcess(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 2,
-		Lease: 2 * time.Minute,
 		Spawn: inprocSpawner(groups, opts, hdr),
 		Obs:   tr,
 	})
@@ -142,7 +143,6 @@ func TestFarmDerivedGoalsGetNoLease(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: dir, Workers: 2,
-		Lease: 2 * time.Minute,
 		Spawn: inprocSpawner(groups, opts, hdr),
 	})
 	if err != nil {
@@ -166,10 +166,11 @@ func TestFarmDerivedGoalsGetNoLease(t *testing.T) {
 	}
 }
 
-// TestLeaseDropReclaimReassign drives the expiry path deterministically:
-// the farm.lease.grant failpoint drops the first grant response, so the
-// lease must expire, be reclaimed with backoff, and be reassigned — and
-// the library must still come out byte-identical.
+// TestLeaseDropReclaimReassign drives the re-poll path
+// deterministically: the farm.lease.grant failpoint drops the first
+// grant response, so the worker asks for a goal again while the grant
+// still names it; that poll must reclaim the goal and it must be
+// reassigned — and the library must still come out byte-identical.
 func TestLeaseDropReclaimReassign(t *testing.T) {
 	groups, opts, hdr := farmSetup()
 	baseLib, _, err := driver.Run(groups, opts)
@@ -181,11 +182,9 @@ func TestLeaseDropReclaimReassign(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 2,
-		Lease:   400 * time.Millisecond,
-		Backoff: 50 * time.Millisecond,
-		Spawn:   inprocSpawner(groups, opts, hdr),
-		Faults:  mustFaults(t, "farm.lease.grant=hit:1"),
-		Obs:     tr,
+		Spawn:  inprocSpawner(groups, opts, hdr),
+		Faults: mustFaults(t, "farm.lease.grant=hit:1"),
+		Obs:    tr,
 	})
 	if err != nil {
 		t.Fatalf("farm run: %v", err)
@@ -202,9 +201,9 @@ func TestLeaseDropReclaimReassign(t *testing.T) {
 }
 
 // TestQuarantineAfterAttemptCap: a worker that leases goals and never
-// completes them burns the attempt budget; every goal must end up
-// quarantined — with a synthetic journal record — rather than wedging
-// the run forever.
+// completes them gives each one up at its next poll, so every goal
+// loses a lease per round; every goal must end up quarantined — with a
+// synthetic journal record — rather than wedging the run forever.
 func TestQuarantineAfterAttemptCap(t *testing.T) {
 	groups, opts, hdr := farmSetup()
 	// A black hole: registers, leases, never completes, never dies.
@@ -234,11 +233,8 @@ func TestQuarantineAfterAttemptCap(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 1,
-		Lease:       100 * time.Millisecond,
-		Backoff:     10 * time.Millisecond,
-		MaxAttempts: 2,
-		Spawn:       blackhole,
-		Obs:         tr,
+		Spawn: blackhole,
+		Obs:   tr,
 	})
 	if err != nil {
 		t.Fatalf("farm run: %v", err)
@@ -331,7 +327,6 @@ func TestWorkerCrashRespawnsAndRecovers(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 2,
-		Lease: 2 * time.Minute,
 		Spawn: spawn,
 	})
 	if err != nil {
@@ -358,7 +353,6 @@ func TestSpawnFailpointConsumesBudget(t *testing.T) {
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 2,
-		Lease:  2 * time.Minute,
 		Spawn:  inprocSpawner(groups, opts, hdr),
 		Faults: mustFaults(t, "farm.worker.spawn=hit:1"),
 	})
@@ -371,6 +365,40 @@ func TestSpawnFailpointConsumesBudget(t *testing.T) {
 	if len(lib.Rules) == 0 {
 		t.Fatalf("run produced no rules")
 	}
+}
+
+// wedgeFirst wraps inner so that worker 0's first incarnation wedges:
+// it registers with the given telemetry URL, takes one lease, then
+// hangs until it is killed, which closes the returned channel. Every
+// other spawn is inner's.
+func wedgeFirst(inner SpawnFunc, hdr journal.Header, telemetry string) (SpawnFunc, <-chan struct{}) {
+	killed := make(chan struct{})
+	var spawned atomic.Bool
+	return func(id int, coordURL, shard string) (Handle, error) {
+		if id != 0 || spawned.Swap(true) {
+			return inner(id, coordURL, shard)
+		}
+		h := &goroutineHandle{kill: make(chan struct{}), done: make(chan error, 1)}
+		go func() {
+			cl := newClient(coordURL)
+			cl.post("/register", registerRequest{Worker: id, Header: hdr, Telemetry: telemetry}, nil)
+			for {
+				var resp leaseResponse
+				if err := cl.post("/lease", leaseRequest{Worker: id}, &resp); err != nil || resp.Done {
+					h.done <- err
+					return
+				}
+				if resp.Key != nil {
+					break // got a lease; now wedge
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			<-h.kill
+			close(killed)
+			h.done <- errors.New("killed while wedged")
+		}()
+		return h, nil
+	}, killed
 }
 
 // TestHeartbeatKillsUnresponsiveWorker: a worker whose telemetry stops
@@ -388,50 +416,12 @@ func TestHeartbeatKillsUnresponsiveWorker(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer down.Close()
+	spawn, killed := wedgeFirst(inprocSpawner(groups, opts, hdr), hdr, down.URL)
 
-	var mu sync.Mutex
-	spawns := make(map[int]int)
-	killed := make(chan struct{})
-	inner := inprocSpawner(groups, opts, hdr)
-	spawn := func(id int, coordURL, shard string) (Handle, error) {
-		mu.Lock()
-		n := spawns[id]
-		spawns[id]++
-		mu.Unlock()
-		if id == 0 && n == 0 {
-			// A wedged worker: registers with the unresponsive
-			// telemetry, takes one lease, then hangs until killed.
-			h := &goroutineHandle{kill: make(chan struct{}), done: make(chan error, 1)}
-			go func() {
-				cl := newClient(coordURL)
-				cl.post("/register", registerRequest{Worker: id, Header: hdr, Telemetry: down.URL}, nil)
-				for {
-					var resp leaseResponse
-					if err := cl.post("/lease", leaseRequest{Worker: id}, &resp); err != nil || resp.Done {
-						h.done <- err
-						return
-					}
-					if resp.Key != nil {
-						break // got a lease; now wedge
-					}
-					time.Sleep(10 * time.Millisecond)
-				}
-				<-h.kill
-				close(killed)
-				h.done <- errors.New("killed while wedged")
-			}()
-			return h, nil
-		}
-		return inner(id, coordURL, shard)
-	}
-
-	tr := obs.New()
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 2,
-		Lease:     30 * time.Second, // expiry alone must not save this run
 		Heartbeat: 50 * time.Millisecond,
-		Backoff:   10 * time.Millisecond,
 		Spawn:     spawn,
 	})
 	if err != nil {
@@ -451,7 +441,136 @@ func TestHeartbeatKillsUnresponsiveWorker(t *testing.T) {
 	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
 		t.Fatalf("library differs after a heartbeat kill")
 	}
-	_ = tr
+}
+
+// TestDeadlineKillsWedgedLessee: a worker that takes a goal and then
+// blocks, its telemetry still answering, keeps the lease until the
+// deadline derived from the retry ladder passes. Then it is killed, its
+// exit reclaims the goal, the goal is granted again, and the merge
+// writes driver.Run's bytes.
+func TestDeadlineKillsWedgedLessee(t *testing.T) {
+	// Two goals that take milliseconds, far inside a 500 ms rung 0 even
+	// under the race detector. The ladder is 500 ms then 1 s, so the
+	// lease deadline is 3 s.
+	groups := []driver.Group{{Name: "Quick", MaxLen: 2, AllSizes: true, Goals: []*sem.Instr{
+		x86.BinMemSrc(x86.AddInstr(), x86.AM{Base: true}), x86.CmpJcc(x86.CCB),
+	}}}
+	opts := driver.Options{Width: 8, Seed: 1, MaxPatternsPerGoal: 16,
+		PerGoalTimeout: 500 * time.Millisecond, MaxRetries: 1}
+	hdr := journal.Header{
+		Version: journal.Version, Setup: "quick", Width: opts.Width,
+		ConfigHash: driver.ConfigHash(groups, opts),
+	}
+	baseLib, _, err := driver.Run(groups, opts)
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+
+	// Answering telemetry: every scrape succeeds.
+	up := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer up.Close()
+	spawn, killed := wedgeFirst(inprocSpawner(groups, opts, hdr), hdr, up.URL)
+
+	// A farm that never kills the lessee would wait forever; stop it.
+	stop := make(chan struct{})
+	defer time.AfterFunc(time.Minute, func() { close(stop) }).Stop()
+	tr := obs.New()
+	dir := t.TempDir()
+	start := time.Now()
+	lib, rep, err := Run(Config{
+		Groups: groups, Opts: opts, Header: hdr,
+		Dir: dir, Workers: 1,
+		Heartbeat: 50 * time.Millisecond,
+		Spawn:     spawn,
+		Obs:       tr, Stop: stop,
+	})
+	if err != nil {
+		t.Fatalf("farm run: %v", err)
+	}
+	select {
+	case <-killed:
+	default:
+		t.Fatalf("wedged lessee was never killed (kills=%d)", rep.Kills)
+	}
+	if took, term := time.Since(start), leaseDeadline(opts); took < term {
+		t.Fatalf("run took %s: the lessee was killed before its %s deadline", took, term)
+	}
+	if rep.Kills != 1 || rep.Reclaimed != 1 || rep.Respawns != 1 || rep.Granted != 3 || len(rep.Quarantined) != 0 {
+		t.Fatalf("report: %d kill(s), %d reclaimed, %d respawn(s), %d grant(s), quarantined %v; want 1, 1, 1, 3, none",
+			rep.Kills, rep.Reclaimed, rep.Respawns, rep.Granted, rep.Quarantined)
+	}
+	if n := tr.Metrics().CounterValue("farm.heartbeat.failed"); n != 0 {
+		t.Fatalf("%d heartbeat scrape(s) of an answering worker failed", n)
+	}
+	coord, err := journal.Read(CoordJournalPath(dir), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := driver.GoalKeys(groups)[0].Key(); coord.Attempts[first] != 2 {
+		t.Fatalf("%s granted %d time(s), want 2", first, coord.Attempts[first])
+	}
+	if !bytes.Equal(saveBytes(t, lib), saveBytes(t, baseLib)) {
+		t.Fatalf("library differs after a deadline kill")
+	}
+}
+
+// TestLeaseDeadlineFollowsLadder pins the lease deadline: twice the
+// total of the retry ladder a worker runs, and none without a per-goal
+// timeout.
+func TestLeaseDeadlineFollowsLadder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		retries int
+		want    time.Duration
+	}{
+		{"selfarm defaults", 5 * time.Minute, 0, 70 * time.Minute}, // 5 + 10 + 20 min
+		{"-max-retries 3", 5 * time.Minute, 3, 110 * time.Minute},  // 5 + 10 + 20 + 20 min
+		{"-timeout 0", 0, 0, 0},
+	} {
+		opts := driver.Options{PerGoalTimeout: tc.timeout, MaxRetries: tc.retries}
+		if got := leaseDeadline(opts); got != tc.want {
+			t.Errorf("%s: lease deadline %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestReclaimedGoalGrantedLast: a worker that asks for a goal gives up
+// the one it holds; that goal is granted again only after every goal
+// that has lost no lease, and a goal whose lessee has not asked again
+// is never granted to another worker.
+func TestReclaimedGoalGrantedLast(t *testing.T) {
+	groups, opts, hdr := farmSetup()
+	c, err := newCoordinator(Config{Groups: groups, Opts: opts, Header: hdr, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.jw, err = journal.Create(CoordJournalPath(t.TempDir()), hdr); err != nil {
+		t.Fatal(err)
+	}
+	defer c.jw.Close()
+	grant := func(worker int) string {
+		t.Helper()
+		resp, err := c.lease(worker)
+		if err != nil || resp.Key == nil {
+			t.Fatalf("lease(%d) = %+v, %v; want a goal", worker, resp, err)
+		}
+		return resp.Key.Goal
+	}
+
+	got := []string{grant(0)}
+	if g := grant(1); g != "andn" {
+		t.Fatalf("worker 1 was granted %s, want andn", g)
+	}
+	for range 4 {
+		got = append(got, grant(0))
+	}
+	if want := []string{"inc", "add", "add.ms.b", "cmp.jb", "inc"}; !slices.Equal(got, want) {
+		t.Fatalf("worker 0 was granted %v, want %v", got, want)
+	}
+	if c.reclaimed != 4 {
+		t.Fatalf("%d lease(s) reclaimed, want 4", c.reclaimed)
+	}
 }
 
 // TestStopThenResume: a graceful stop mid-run returns ErrStopped with
@@ -477,7 +596,6 @@ func TestStopThenResume(t *testing.T) {
 	cfg := Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: dir, Workers: 1,
-		Lease: 2 * time.Minute,
 		Spawn: inprocSpawner(groups, opts, hdr),
 		Obs:   tr, Stop: stop,
 	}
@@ -531,7 +649,6 @@ func TestResumeTakesDoneFromShards(t *testing.T) {
 	cfg := Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: dir, Workers: 2,
-		Lease: 2 * time.Minute,
 		Spawn: idle, Stop: stop,
 	}
 	if _, rep, err := Run(cfg); !errors.Is(err, ErrStopped) || rep.Granted != 0 {
@@ -613,7 +730,7 @@ func TestResumeWaitsForShardWriter(t *testing.T) {
 
 	lib, rep, err := Run(Config{
 		Groups: groups, Opts: opts, Header: hdr,
-		Dir: dir, Workers: 1, Lease: 2 * time.Minute, Resume: true,
+		Dir: dir, Workers: 1, Resume: true,
 		Spawn: inprocSpawner(groups, opts, hdr),
 	})
 	if err := <-werr; err != nil {
@@ -659,7 +776,7 @@ func TestRunWaitsForKilledWorkers(t *testing.T) {
 			})
 			<-h.kill
 			time.Sleep(100 * time.Millisecond)
-			if aerr := appendLastRecord(shard, hdr); err == nil {
+			if aerr := appendNextRecord(shard, groups, opts, hdr); err == nil {
 				err = aerr
 			}
 			lateAppends.Add(1)
@@ -679,7 +796,6 @@ func TestRunWaitsForKilledWorkers(t *testing.T) {
 	cfg := Config{
 		Groups: groups, Opts: opts, Header: hdr,
 		Dir: t.TempDir(), Workers: 1,
-		Lease: 2 * time.Minute,
 		Spawn: spawn,
 		Obs:   tr, Stop: stop,
 	}
@@ -703,18 +819,32 @@ func TestRunWaitsForKilledWorkers(t *testing.T) {
 	}
 }
 
-// appendLastRecord re-appends the shard's last goal record: the late
-// write of a worker that finished its goal after being killed.
-func appendLastRecord(shard string, hdr journal.Header) error {
+// appendNextRecord synthesizes the first searched goal the shard does
+// not hold yet and appends its record: the late write of a worker that
+// finished its goal after being killed.
+func appendNextRecord(shard string, groups []driver.Group, opts driver.Options, hdr journal.Header) error {
 	jw, rec, err := journal.Resume(shard, hdr)
 	if err != nil {
 		return err
 	}
 	defer jw.Close()
-	if len(rec.Goals) == 0 {
-		return nil
+	plan, err := driver.NewPlan(groups, opts)
+	if err != nil {
+		return err
 	}
-	return jw.Append(rec.Goals[len(rec.Goals)-1])
+	opts.Journal = jw
+	runner, err := driver.NewGoalRunner(groups, opts)
+	if err != nil {
+		return err
+	}
+	held := rec.Index()
+	for _, k := range plan.Searched() {
+		if _, ok := held[k.Key()]; !ok {
+			_, err := runner.Run(k)
+			return err
+		}
+	}
+	return nil
 }
 
 // TestRegisterRefusesMismatchedHeader: the coordinator applies the

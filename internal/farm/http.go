@@ -38,14 +38,13 @@ type leaseRequest struct {
 }
 
 // leaseResponse carries the assignment. Exactly one of Key/Done/WaitMS
-// is meaningful: a granted goal and its deadline, the all-work-finished
-// signal, or an idle backoff (everything pending is leased elsewhere or
-// in reclaim backoff).
+// is meaningful: a granted goal, the all-work-finished signal, or how
+// long to wait before asking again (every pending goal is leased
+// elsewhere).
 type leaseResponse struct {
-	Key     *goalKeyWire `json:"key,omitempty"`
-	LeaseMS int64        `json:"leaseMs,omitempty"`
-	Done    bool         `json:"done,omitempty"`
-	WaitMS  int64        `json:"waitMs,omitempty"`
+	Key    *goalKeyWire `json:"key,omitempty"`
+	Done   bool         `json:"done,omitempty"`
+	WaitMS int64        `json:"waitMs,omitempty"`
 }
 
 // goalKeyWire mirrors driver.GoalKey on the wire.

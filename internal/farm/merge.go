@@ -4,12 +4,14 @@
 // Each shard's header is validated with journal.CheckHeader (a shard
 // written for another ISA or configuration is refused, same as a
 // cross-ISA resume), torn tails are tolerated (a SIGKILL'd worker's
-// last append), and duplicate records — a goal finished by two workers
-// after a lease reclaim — keep the first occurrence in ascending
-// worker-id order, deterministically. Synthesis is deterministic per
-// goal, so which copy survives cannot change the merged library; the
-// count is still reported, because an unexpected duplicate in a farm
-// that reclaimed nothing is a corruption signal.
+// last append), and a shard holding one goal twice is refused as
+// corrupt (journal.Read). A goal recorded in two shards — its worker
+// died between the shard append and the report, and another worker ran
+// it again — keeps the first occurrence in ascending worker-id order,
+// deterministically. Synthesis is deterministic per goal, so which
+// copy survives cannot change the merged library; the count is still
+// reported, because a duplicate in a farm that reclaimed nothing is a
+// corruption signal.
 
 package farm
 
@@ -49,7 +51,8 @@ func shardPaths(dir string) ([]string, error) {
 
 // mergeShards reads the shard journals at paths (missing files are
 // fine — a worker that never started has no shard) and merges their
-// goal records, returning the record set and the duplicate count.
+// goal records, returning the record set and the count of records
+// another shard already held.
 func mergeShards(hdr journal.Header, paths []string) (map[string]journal.GoalRecord, int, error) {
 	recs := make(map[string]journal.GoalRecord)
 	dups := 0
@@ -61,10 +64,9 @@ func mergeShards(hdr journal.Header, paths []string) (map[string]journal.GoalRec
 		if err != nil {
 			return nil, 0, fmt.Errorf("farm: shard %s: %w", p, err)
 		}
-		dups += len(rec.Duplicates) // within-shard duplicates
 		for _, g := range rec.Goals {
 			if _, ok := recs[g.Key()]; ok {
-				dups++ // cross-shard duplicate: reclaimed lease, both finished
+				dups++
 				continue
 			}
 			recs[g.Key()] = g

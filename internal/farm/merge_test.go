@@ -11,8 +11,9 @@ import (
 )
 
 // TestMergeShards: records from several shards merge first-wins in
-// shard order, within- and cross-shard duplicates are counted, missing
-// shards are tolerated, and a mismatched shard header is refused.
+// shard order, cross-shard duplicates are counted, missing shards are
+// tolerated, and a mismatched shard header or a shard that holds one
+// goal twice is refused.
 func TestMergeShards(t *testing.T) {
 	dir := t.TempDir()
 	_, _, hdr := farmSetup()
@@ -27,7 +28,6 @@ func TestMergeShards(t *testing.T) {
 	}
 	jw.Append(rec("Quick", 0, "a", 1))
 	jw.Append(rec("Quick", 1, "b", 2))
-	jw.Append(rec("Quick", 1, "b", 99)) // within-shard duplicate
 	jw.Close()
 
 	s1 := filepath.Join(dir, "worker-1.journal")
@@ -36,20 +36,33 @@ func TestMergeShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	jw.Append(rec("Quick", 2, "c", 3))
-	jw.Append(rec("Quick", 0, "a", 99)) // cross-shard duplicate (reclaimed lease)
+	jw.Append(rec("Quick", 0, "a", 99)) // cross-shard duplicate: worker 0 died before reporting a
 	jw.Close()
 
 	recs, dups, err := mergeShards(hdr, []string{s0, s1, filepath.Join(dir, "worker-2.journal")})
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	if len(recs) != 3 || dups != 2 {
-		t.Fatalf("merged %d records with %d duplicates, want 3 and 2", len(recs), dups)
+	if len(recs) != 3 || dups != 1 {
+		t.Fatalf("merged %d records with %d duplicates, want 3 and 1", len(recs), dups)
 	}
-	// First occurrence wins: worker 0's copy of Quick/0/a, its own first
-	// copy of Quick/1/b.
-	if recs["Quick/0/a"].ElapsedMS != 1 || recs["Quick/1/b"].ElapsedMS != 2 {
-		t.Fatalf("merge did not keep first occurrences: %+v", recs)
+	// First occurrence wins: worker 0's copy of Quick/0/a.
+	if recs["Quick/0/a"].ElapsedMS != 1 {
+		t.Fatalf("merge did not keep the first occurrence: %+v", recs)
+	}
+
+	// A shard holding one goal twice is corrupt: nothing appends a goal
+	// its shard already holds.
+	s2 := filepath.Join(dir, "worker-2.journal")
+	jw, err = journal.Create(s2, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw.Append(rec("Quick", 2, "c", 3))
+	jw.Append(rec("Quick", 2, "c", 99))
+	jw.Close()
+	if _, _, err := mergeShards(hdr, []string{s0, s2}); err == nil {
+		t.Fatalf("merge accepted a shard holding a goal twice")
 	}
 
 	// A shard from another configuration is refused.
@@ -78,8 +91,8 @@ func TestMergeShards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge rejected a torn shard: %v", err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("torn shard recovered %d records, want 2 (only the torn final line dropped)", len(recs))
+	if len(recs) != 1 {
+		t.Fatalf("torn shard recovered %d records, want 1 (only the torn final line dropped)", len(recs))
 	}
 }
 

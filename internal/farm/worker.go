@@ -8,7 +8,7 @@
 // inside GoalRunner.Run, strictly before /complete: a worker SIGKILL'd
 // between the two leaves a durable record the merge picks up anyway,
 // and one killed mid-synthesis loses only the goal in flight, which the
-// coordinator reassigns after the lease expires.
+// coordinator reassigns once it sees the worker exit.
 
 package farm
 

@@ -23,10 +23,10 @@ var fuzzHeader = Header{Version: Version, Setup: "quick", Width: 8, ConfigHash: 
 
 func FuzzJournalScan(f *testing.F) {
 	// Seeds mirror testdata/fuzz/FuzzJournalScan: a clean journal, a
-	// torn tail, a duplicate, goal-before-header, raw garbage, and lease
-	// grants. Both
-	// sets feed the same generator; the checked-in corpus keeps the
-	// interesting shapes under version control.
+	// torn tail, a duplicate goal (refused), goal-before-header, raw
+	// garbage, and lease grants. Both sets feed the same generator; the
+	// checked-in corpus keeps the interesting shapes under version
+	// control.
 	hdr := `{"kind":"header","header":{"version":1,"setup":"quick","width":8,"configHash":"abc123"}}`
 	goal := func(i byte) string {
 		return `{"kind":"goal","goal":{"group":"Quick","index":` + string('0'+i) + `,"goal":"g","status":"ok","minLen":1}}`
@@ -120,7 +120,7 @@ func TestScanFuzzSeedsDirect(t *testing.T) {
 	}{
 		{"clean", hdr + "\n" + goal + "\n", 1, false, false},
 		{"torn tail", hdr + "\n" + goal + "\n" + goal[:30], 1, true, false},
-		{"duplicate kept-first", hdr + "\n" + goal + "\n" + goal + "\n", 1, false, false},
+		{"duplicate refused", hdr + "\n" + goal + "\n" + goal + "\n", 0, false, true},
 		{"goal before header", goal + "\n" + hdr + "\n", 0, false, true},
 		{"lease", hdr + "\n" + lease + "\n" + goal + "\n", 1, false, false},
 		{"lease before header", lease + "\n" + hdr + "\n", 0, false, true},

@@ -16,14 +16,14 @@
 // line, followed by File.Sync. A crash mid-append leaves
 // a final line without a terminating newline (or an unparsable JSON
 // prefix); Resume truncates the file back to the last intact record.
-// A duplicate goal entry is tolerated — the first occurrence wins, and
-// the duplicates are counted and reported (Recovered.Duplicates) so the
-// caller can surface them: merged farm shards legitimately carry a goal
-// twice when a lease was reclaimed and both assignees finished. Any
-// other malformation — a corrupt record mid-file, a header mismatch —
-// is reported as a clear error rather than silently repaired, because
-// it indicates corruption (or operator error) beyond what a torn append
-// or a reassigned lease can produce.
+// A journal holds one record per goal: selgen and farm workers append
+// only the goals they synthesized, never the ones they replayed (two
+// workers that finish the same goal write two shards, and the farm's
+// merge dedups across shards). So any other malformation — a corrupt
+// record mid-file, a duplicate goal key, a header mismatch — is
+// reported as a clear error rather than silently repaired, because it
+// indicates corruption (or operator error) beyond what a torn append
+// can produce.
 //
 // A journal has one writer at a time: Create and Resume take an
 // exclusive flock on the file, held until Close (or until the process
@@ -101,7 +101,7 @@ func Key(group string, index int, goal string) string {
 // Lease is one farm lease grant: the goal's key and the grant's
 // attempt number. The farm coordinator journals every grant, so a
 // resumed coordinator continues each goal's attempt count (and with it
-// the backoff and quarantine ladder) instead of starting it afresh.
+// the quarantine cap) instead of starting it afresh.
 type Lease struct {
 	Key     string `json:"key"`
 	Attempt int    `json:"attempt"`
@@ -270,14 +270,8 @@ func (w *Writer) Path() string { return w.f.Name() }
 // Recovered is what Resume salvaged from an interrupted run.
 type Recovered struct {
 	Header Header
-	// Goals holds the intact goal records in journal order, first
-	// occurrence per key (duplicates are dropped, not merged).
+	// Goals holds the intact goal records in journal order, one per key.
 	Goals []GoalRecord
-	// Duplicates lists the keys of goal records that appeared more than
-	// once, one entry per extra occurrence in journal order. Callers
-	// surface these (driver.journal.duplicate) rather than trusting the
-	// first occurrence silently.
-	Duplicates []string
 	// Attempts is the highest lease attempt recorded per goal key (nil
 	// when the journal holds no lease record).
 	Attempts map[string]int
@@ -346,9 +340,9 @@ func Resume(path string, want Header) (*Writer, *Recovered, error) {
 }
 
 // Read opens a journal read-only and scans it: the header is validated
-// against want, a torn tail is tolerated (reported via TruncatedBytes,
-// the file itself is left untouched), and duplicate goal records keep
-// their first occurrence. This is the farm coordinator's merge path —
+// against want, and a torn tail is tolerated (reported via
+// TruncatedBytes, the file itself is left untouched). This is the farm
+// coordinator's merge path —
 // it must inspect worker shards without taking over their append
 // position the way Resume does.
 func Read(path string, want Header) (*Recovered, error) {
@@ -421,15 +415,12 @@ func scanData(data []byte, want Header) (*Recovered, error) {
 			if r.Goal == nil {
 				return nil, fmt.Errorf("journal: goal record without body at byte %d", off)
 			}
-			if key := r.Goal.Key(); seen[key] {
-				// First occurrence wins; the duplicate is reported, not
-				// trusted silently (and not an error: a reclaimed farm
-				// lease can legitimately finish twice).
-				rec.Duplicates = append(rec.Duplicates, key)
-			} else {
-				seen[key] = true
-				rec.Goals = append(rec.Goals, *r.Goal)
+			key := r.Goal.Key()
+			if seen[key] {
+				return nil, fmt.Errorf("journal: duplicate record for goal %s at byte %d", key, off)
 			}
+			seen[key] = true
+			rec.Goals = append(rec.Goals, *r.Goal)
 		case "lease":
 			if !sawHeader {
 				return nil, fmt.Errorf("journal: lease record before header at byte %d", off)

@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -262,35 +264,30 @@ func TestInjectedTornWrite(t *testing.T) {
 	}
 }
 
-// A duplicated goal record keeps its first occurrence and is surfaced
-// through Recovered.Duplicates (a reclaimed farm lease can finish on
-// two workers; the single-process journal never writes one, so the
-// count is also the caller's corruption signal).
-func TestDuplicateGoalEntryReported(t *testing.T) {
+// TestDuplicateGoalEntryRefused: a journal holds one record per goal
+// (nothing appends a replayed goal), so a second record for a key is
+// corruption, refused with an error naming the key and its offset.
+func TestDuplicateGoalEntryRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	w := mustCreate(t, path)
-	first := testRecord(0)
-	first.ElapsedMS = 11
-	dup := testRecord(0)
-	dup.ElapsedMS = 99
-	for _, rec := range []GoalRecord{first, dup, testRecord(1), dup} {
+	for _, rec := range []GoalRecord{testRecord(0), testRecord(1), testRecord(0)} {
 		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
-	_, rec, err := Resume(path, testHeader)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("duplicate goal records must be tolerated, got %v", err)
+		t.Fatal(err)
 	}
-	if len(rec.Goals) != 2 {
-		t.Fatalf("recovered %d goals, want 2 distinct", len(rec.Goals))
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	off := len(lines[0]) + len(lines[1]) + len(lines[2])
+	want := fmt.Sprintf("duplicate record for goal %s at byte %d", testRecord(0).Key(), off)
+	if _, _, err := Resume(path, testHeader); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Resume of a journal with a duplicate goal: err %v, want one containing %q", err, want)
 	}
-	if got := rec.Goals[0].ElapsedMS; got != 11 {
-		t.Fatalf("first occurrence must win, got elapsed %d", got)
-	}
-	if len(rec.Duplicates) != 2 || rec.Duplicates[0] != first.Key() {
-		t.Fatalf("duplicates not reported: %v", rec.Duplicates)
+	if _, err := Read(path, testHeader); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Read of a journal with a duplicate goal: err %v, want one containing %q", err, want)
 	}
 }
 

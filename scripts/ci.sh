@@ -110,9 +110,8 @@ cmp "$tmpdir/resumed.json" "$tmpdir/uninterrupted.json" || {
 # respawns it, and the respawn crash-recovers the shard). The merged
 # library must be byte-identical to the single-process golden — the
 # farm's core guarantee, exercised across real process boundaries.
-# -backoff 100ms keeps the reclaimed goal's reassignment prompt.
 go build -o "$tmpdir/selfarm" ./cmd/selfarm
-"$tmpdir/selfarm" -setup quick -timeout 2m -workers 2 -backoff 100ms \
+"$tmpdir/selfarm" -setup quick -timeout 2m -workers 2 \
 	-selgen "$tmpdir/selgen" -dir "$tmpdir/farm" -o "$tmpdir/farmed.json" \
 	-worker-faults journal.kill=hit:2 >/dev/null
 cmp "$tmpdir/farmed.json" testdata/goldens/quick_x86.json || {
@@ -124,11 +123,14 @@ cmp "$tmpdir/farmed.json" testdata/goldens/quick_x86.json || {
 # (bne, bge, bgeu, ble, bleu) are their earlier branch's complement.
 # The coordinator must lease only the 21 searched goals, and the merge
 # must derive the other five to the bytes one selgen process writes.
+# A healthy farm loses no lease either: a lease is reclaimed only when
+# its worker exits or asks for another goal, so 0 reclaimed guards the
+# rule that a worker's poll gives up only a goal it no longer holds.
 "$tmpdir/selfarm" -target riscv -setup basic -timeout 2m -workers 2 \
 	-selgen "$tmpdir/selgen" -dir "$tmpdir/farmderived" \
 	-o "$tmpdir/farmderived.json" >"$tmpdir/farmderived.out"
-grep -q 'farm: 21 lease(s) granted' "$tmpdir/farmderived.out" || {
-	echo "ci.sh: the riscv basic farm did not lease exactly its 21 searched goals:" >&2
+grep -q 'farm: 21 lease(s) granted, 0 reclaimed,' "$tmpdir/farmderived.out" || {
+	echo "ci.sh: the riscv basic farm did not lease exactly its 21 searched goals without a reclaim:" >&2
 	cat "$tmpdir/farmderived.out" >&2
 	exit 1
 }
