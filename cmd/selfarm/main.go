@@ -53,6 +53,10 @@ import (
 
 const exitInterrupted = 3
 
+// heartbeat is the interval at which the coordinator scrapes each
+// worker's telemetry server.
+const heartbeat = 10 * time.Second
+
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -66,14 +70,12 @@ func run() int {
 		seed      = flag.Int64("seed", 1, "test-case seed")
 		retries   = flag.Int("max-retries", 0, "retry-ladder depth for budget failures (0 = the default 2; negative is a usage error)")
 		costAware = flag.Bool("cost-aware", true, "cost-ordered enumeration and dominance pruning")
-		verbose   = flag.Bool("v", false, "pass worker stderr through and print farm events")
+		verbose   = flag.Bool("v", false, "pass worker stderr through and print farm progress")
 
-		workers  = flag.Int("workers", 2, "worker processes to shard the goal list across")
-		hb       = flag.Duration("heartbeat", 10*time.Second, "telemetry scrape interval for worker health (0 = off)")
-		respawns = flag.Int("max-respawns", 0, "worker respawn budget across the run (0 = 2 + 2×workers)")
-		dir      = flag.String("dir", "", "farm working directory for the coordinator journal and worker shards (default <output>.farm)")
-		resume   = flag.Bool("resume", false, "rebuild the lease table from -dir's coordinator journal and finish the run")
-		selgen   = flag.String("selgen", "", "selgen binary to spawn as workers (default: next to this binary, else $PATH)")
+		workers = flag.Int("workers", 2, "worker processes to shard the goal list across")
+		dir     = flag.String("dir", "", "farm working directory for the coordinator journal and worker shards (default <output>.farm)")
+		resume  = flag.Bool("resume", false, "rebuild the lease table from -dir's coordinator journal and finish the run")
+		selgen  = flag.String("selgen", "", "selgen binary to spawn as workers (default: next to this binary, else $PATH)")
 
 		faults    = flag.String("faults", "", "arm fault-injection points in the coordinator, e.g. 'farm.lease.grant=once' (testing only)")
 		wFaults   = flag.String("worker-faults", "", "arm fault-injection points in worker 0's first incarnation only, e.g. 'journal.kill=hit:2' — respawns run clean, so the farm must heal the crash (testing only)")
@@ -139,7 +141,7 @@ func run() int {
 		tracer.SetEventSink(ef, lvl)
 	}
 	if *verbose {
-		tracer.SetEventSink(os.Stderr, obs.LevelInfo)
+		tracer.SetProgress(os.Stderr)
 	}
 
 	opts.Obs = tracer
@@ -152,7 +154,7 @@ func run() int {
 	}
 
 	// Workers get the same synthesis flags (so their ConfigHash agrees)
-	// plus an ephemeral telemetry port when the heartbeat is on.
+	// plus an ephemeral telemetry port for the heartbeat.
 	workerArgs := []string{
 		"-target", tgt.Name,
 		"-setup", *setup,
@@ -162,9 +164,7 @@ func run() int {
 		"-seed", strconv.FormatInt(*seed, 10),
 		"-max-retries", strconv.Itoa(*retries),
 		"-cost-aware=" + strconv.FormatBool(*costAware),
-	}
-	if *hb > 0 {
-		workerArgs = append(workerArgs, "-status", "127.0.0.1:0")
+		"-status", "127.0.0.1:0",
 	}
 	var workerStderr io.Writer
 	if *verbose {
@@ -212,15 +212,14 @@ func run() int {
 	start := time.Now()
 	lib, rep, err := farm.Run(farm.Config{
 		Groups: groups, Opts: opts, Header: hdr,
-		Dir:         *dir,
-		Workers:     *workers,
-		Heartbeat:   *hb,
-		MaxRespawns: *respawns,
-		Resume:      *resume,
-		Stop:        stop,
-		Spawn:       spawn,
-		Faults:      reg,
-		Obs:         tracer,
+		Dir:       *dir,
+		Workers:   *workers,
+		Heartbeat: heartbeat,
+		Resume:    *resume,
+		Stop:      stop,
+		Spawn:     spawn,
+		Faults:    reg,
+		Obs:       tracer,
 	})
 	if errors.Is(err, farm.ErrStopped) {
 		fmt.Fprintf(os.Stderr, "selfarm: run stopped — resume with: selfarm -resume -dir %s (same flags)\n", *dir)

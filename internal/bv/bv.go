@@ -923,11 +923,6 @@ func (b *Builder) Sext(a *Term, w int) *Term {
 	return b.intern(&termKey{op: OpSext, sort: BitVec(w), args: [3]*Term{a}, nargs: 1, hi: w})
 }
 
-// BoolToBV returns a 1-bit vector that is 1 when c holds.
-func (b *Builder) BoolToBV(c *Term) *Term {
-	return b.Ite(c, b.Const(1, 1), b.Const(0, 1))
-}
-
 // --- Evaluation ---
 
 // Model maps variable names to concrete values (Bool: 0 or 1).

@@ -8,14 +8,17 @@ import (
 )
 
 // Cost-aware enumeration (after Daly et al., "Efficiently Synthesizing
-// Lowest Cost Rewrite Rules for Instruction Selection"): instead of
-// iterating multisets size-major, materialize every candidate multiset
-// up to MaxLen and walk them in ascending total cycle cost, so the
-// first rule found for a goal is a cheapest implementation under the
-// machine's cycle model. Once a rule exists, later multisets that cost
-// at least as much and contain the rule's components as a sub-multiset
-// are dominated — any pattern over them spends the found rule's cycles
-// plus extras for strictly more IR structure — and are skipped.
+// Lowest Cost Rewrite Rules for Instruction Selection"): materialize
+// every candidate multiset up to MaxLen and walk them in ascending
+// total cycle cost, so the first rule found for a goal is a cheapest
+// implementation under the machine's cycle model. Once a rule exists,
+// later multisets that cost at least as much and contain the rule's
+// components as a sub-multiset are dominated — any pattern over them
+// spends the found rule's cycles plus extras for strictly more IR
+// structure — and are skipped. The cost-awareness ablation
+// (Config.DisableCostAware) walks the same enumeration unsorted, in
+// size order, and skips nothing as dominated: cost order and size
+// order differ only in the sort key.
 
 // costMultiset is one candidate component multiset with its total
 // cycle cost.
@@ -26,9 +29,10 @@ type costMultiset struct {
 }
 
 // multisetsByCost materializes the full enumeration (required memory
-// ops plus free multicombinations of the op set, sizes 0..MaxLen) and
-// sorts it by ascending (cost, size), keeping the iterator's
-// lexicographic order within equal keys so the walk is deterministic.
+// ops plus free multicombinations of the op set, sizes 0..MaxLen) in
+// size order, lexicographic within a size, and unless DisableCostAware
+// sorts it stably by ascending (cost, size), so the walk is
+// deterministic either way.
 func (e *Engine) multisetsByCost(required []*sem.Instr) []costMultiset {
 	reqCost := 0
 	for _, r := range required {
@@ -51,12 +55,14 @@ func (e *Engine) multisetsByCost(required []*sem.Instr) []costMultiset {
 			out = append(out, costMultiset{comps: comps, cost: cost, size: l})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].cost != out[j].cost {
-			return out[i].cost < out[j].cost
-		}
-		return out[i].size < out[j].size
-	})
+	if !e.cfg.DisableCostAware {
+		sort.SliceStable(out, func(i, j int) bool {
+			if out[i].cost != out[j].cost {
+				return out[i].cost < out[j].cost
+			}
+			return out[i].size < out[j].size
+		})
+	}
 	return out
 }
 
@@ -76,13 +82,14 @@ func containsMultiset(ms, sub []*sem.Instr) bool {
 	return true
 }
 
-// synthesizeCostOrdered is the cost-aware counterpart of
-// synthesizeMinimal / synthesizeAllSizes: one walk over the cost-sorted
-// enumeration. With allSizes false it stops after the first cost band
-// that yields patterns (every multiset of that cost is still finished,
-// so equal-cost alternatives are not order-dependent); with allSizes
-// true it continues to MaxLen, skipping dominated multisets.
-func (e *Engine) synthesizeCostOrdered(goal *sem.Instr, allSizes bool) (*Result, error) {
+// synthesize is the one enumeration walk behind Synthesize and
+// SynthesizeAllSizes. A band is one cost, or one size under
+// DisableCostAware. With allSizes false it stops after the first band
+// that yields patterns (every multiset of that band is still finished,
+// so equal-band alternatives are not order-dependent); with allSizes
+// true it continues to MaxLen. Only the cost-aware walk skips
+// dominated multisets.
+func (e *Engine) synthesize(goal *sem.Instr, allSizes bool) (*Result, error) {
 	start := time.Now()
 	res := &Result{Goal: goal, MinLen: -1}
 	finish := func(err error) (*Result, error) {
@@ -92,14 +99,22 @@ func (e *Engine) synthesizeCostOrdered(goal *sem.Instr, allSizes bool) (*Result,
 		res.Elapsed = time.Since(start)
 		return res, err
 	}
+	costAware := !e.cfg.DisableCostAware
+	band := func(ms costMultiset) int {
+		if costAware {
+			return ms.cost
+		}
+		return ms.size
+	}
 	required := e.requiredMemOps(goal)
-	bestCost := -1 // cost of the first (cheapest) multiset that yielded a rule
-	var bestComps []*sem.Instr
+	// The first multiset that yielded a rule, and its band.
+	firstBand := -1
+	var first costMultiset
 	for _, ms := range e.multisetsByCost(required) {
 		if e.deadlineExceeded() {
 			return finish(ErrDeadline)
 		}
-		if !allSizes && bestCost >= 0 && ms.cost > bestCost {
+		if !allSizes && firstBand >= 0 && band(ms) > firstBand {
 			break
 		}
 		rem := 0
@@ -112,7 +127,7 @@ func (e *Engine) synthesizeCostOrdered(goal *sem.Instr, allSizes bool) (*Result,
 		if !e.cfg.DisablePruning && e.skipMultiset(goal, ms.comps) {
 			continue
 		}
-		if bestCost >= 0 && ms.cost >= bestCost && containsMultiset(ms.comps, bestComps) {
+		if costAware && firstBand >= 0 && ms.cost >= first.cost && containsMultiset(ms.comps, first.comps) {
 			e.Stats.DominatedMultisets++
 			e.obs.Add("cegis.cost.multisets_dominated", 1)
 			continue
@@ -122,9 +137,8 @@ func (e *Engine) synthesizeCostOrdered(goal *sem.Instr, allSizes bool) (*Result,
 		}
 		ps, err := e.cegisAllPatterns(ms.comps, goal, rem)
 		if len(ps) > 0 {
-			if bestCost < 0 {
-				bestCost = ms.cost
-				bestComps = ms.comps
+			if firstBand < 0 {
+				firstBand, first = band(ms), ms
 			}
 			for _, p := range ps {
 				if res.MinLen < 0 || p.Size() < res.MinLen {

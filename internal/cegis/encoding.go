@@ -42,8 +42,8 @@ type enc struct {
 	solver *smt.Solver
 
 	// prefix namespaces this encoding's structure variables (pos, sel,
-	// osel) when builder and solver are shared across multisets
-	// (incremental mode): selector widths differ between multisets, and
+	// osel), because the incremental pipeline shares builder and solver
+	// across multisets: selector widths differ between multisets, and
 	// bv.Builder.Var panics on a name redeclared at a different sort.
 	// Value variables (component arguments, internals, witness
 	// arguments) are deliberately NOT prefixed: they are keyed by
@@ -99,12 +99,10 @@ func (e *enc) assertBound(v *bv.Term, n int) {
 	e.solver.Assert(e.b.Ult(v, e.b.Const(uint64(n), v.Sort.Width)))
 }
 
-// newEnc builds the encoding and asserts the well-formedness constraint
-// ϕwf. With sc nil it uses a fresh builder and solver (one-shot mode);
-// otherwise it encodes into the goal's shared synthesis context, where
-// the caller is expected to bracket this multiset with the solver's
-// Push/Pop. With cfg.AllowNonNormalized unset, ϕwf additionally
-// requires patterns in IR normal form (see below).
+// newEnc builds the encoding into the synthesis context sc and asserts
+// the well-formedness constraint ϕwf; the caller resets or drops sc's
+// solver once the multiset is done. With cfg.AllowNonNormalized unset,
+// ϕwf additionally requires patterns in IR normal form (see below).
 func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc, error) {
 	if len(goal.Internals) != 0 {
 		panic("cegis: goal instructions must have no internal attributes (enumerate them as separate goals)")
@@ -121,30 +119,18 @@ func newEnc(cfg Config, goal *sem.Instr, comps []*sem.Instr, sc *synthCtx) (*enc
 		}
 	}
 	normalized := !cfg.AllowNonNormalized
-	var b *bv.Builder
-	var solver *smt.Solver
-	prefix := ""
-	if sc != nil {
-		b, solver = sc.b, sc.solver
-		prefix = "m" + strconv.Itoa(sc.nextEnc) + "_"
-		sc.nextEnc++
-	} else {
-		b = bv.NewBuilder()
-		b.Simplify = !cfg.DisableTermSimplify
-		solver = smt.NewSolver(b)
-		solver.Obs = cfg.Obs
-		solver.Faults = cfg.Faults
-	}
+	b := sc.b
 	e := &enc{
 		cfg:    cfg,
 		width:  cfg.Width,
 		goal:   goal,
 		comps:  comps,
 		b:      b,
-		solver: solver,
-		prefix: prefix,
+		solver: sc.solver,
+		prefix: "m" + strconv.Itoa(sc.nextEnc) + "_",
 		posW:   selWidth(len(comps) + 1),
 	}
+	sc.nextEnc++
 	occCount := map[string]int{}
 	for _, c := range comps {
 		e.occ = append(e.occ, occCount[c.Name])

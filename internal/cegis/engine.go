@@ -37,8 +37,6 @@ type Config struct {
 	QueryConflicts int64
 	// Deadline aborts the whole run when exceeded (zero = none).
 	Deadline time.Time
-	// InitialTests is the number of seeded test cases (default 4).
-	InitialTests int
 	// Seed drives deterministic test-case seeding.
 	Seed int64
 	// DisablePruning turns the §5.4 skip criteria off (for the
@@ -69,17 +67,20 @@ type Config struct {
 	// patterns a canonicalizing compiler would never produce, such as
 	// Add(x,x) for 2x.
 	AllowNonNormalized bool
-	// DisableIncremental reverts to the non-incremental pipeline (fresh
+	// DisableIncremental selects the non-incremental pipeline (fresh
 	// builder/blaster/solver per multiset and per verification query, no
-	// counterexample carry-forward) — the incremental-solving ablation.
+	// counterexample carry-forward). It finds the same patterns more
+	// slowly and is kept as the reference that TestIncrementalEquivalence
+	// and BenchmarkCEGISFresh compare the incremental pipeline against;
+	// nothing outside tests and benchmarks sets it.
 	DisableIncremental bool
-	// DisableCostAware reverts multiset enumeration to the legacy
-	// size-major order and turns the dominance filter off (the
-	// cost-awareness ablation). By default multisets are enumerated in
-	// ascending total cycle cost (sum of CostOrDefault over the
-	// components) and, once a goal has a correct rule, later multisets
-	// that cost at least as much and contain the rule's component
-	// multiset are skipped as dominated.
+	// DisableCostAware walks the multisets in size order and turns the
+	// dominance filter off (the cost-awareness ablation): a minimal
+	// search then stops at the first size that yields rules. By default
+	// multisets are walked in ascending total cycle cost (sum of
+	// CostOrDefault over the components) and, once a goal has a correct
+	// rule, later multisets that cost at least as much and contain the
+	// rule's component multiset are skipped as dominated.
 	DisableCostAware bool
 	// Obs, when non-nil, receives spans (per goal, multiset, and
 	// synthesis/verification query) and counter/histogram metrics that
@@ -105,11 +106,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxLen == 0 {
 		c.MaxLen = 3
 	}
-	if c.InitialTests == 0 {
-		c.InitialTests = 4
-	}
 	return c
 }
+
+// initialTests is the number of seeded test cases per goal.
+const initialTests = 4
 
 // ErrDeadline is returned when Config.Deadline expires mid-run.
 var ErrDeadline = errors.New("cegis: deadline exceeded")
@@ -193,9 +194,8 @@ type Engine struct {
 
 	// Solver-effort aggregation for SolverStats: persistent solvers are
 	// tracked live, transient ones folded into retired on disposal.
-	liveSolvers                 []*smt.Solver
-	retiredSynth, retiredVerify SolverStats
-	retired                     SolverStats
+	liveSolvers []*smt.Solver
+	retired     SolverStats
 }
 
 // New returns an engine over the IR operation set I.
@@ -211,9 +211,6 @@ func New(ops []*sem.Instr, cfg Config) *Engine {
 		seeds:     make(map[*sem.Instr][][]uint64),
 	}
 }
-
-// Width returns the configured word width.
-func (e *Engine) Width() int { return e.cfg.Width }
 
 // Ops returns the IR operation set.
 func (e *Engine) Ops() []*sem.Instr { return e.ops }
@@ -266,7 +263,7 @@ func newSeedTests(cfg Config, goal *sem.Instr) [][]uint64 {
 		ones[i] = ^uint64(0)
 	}
 	out = append(out, ones)
-	for len(out) < cfg.InitialTests {
+	for len(out) < initialTests {
 		tc := make([]uint64, n)
 		for i := range tc {
 			tc[i] = rng.Uint64()
@@ -304,7 +301,7 @@ func (e *Engine) Verify(goal *sem.Instr, p *pattern.Pattern) (cex []uint64, ok b
 	var v *verifier
 	if e.cfg.DisableIncremental {
 		v = e.newVerifier(goal)
-		defer e.retireVerify(v.solver)
+		defer e.retireSolver(v.solver)
 	} else {
 		v = e.verifierFor(goal)
 		v.solver.Push()
@@ -355,23 +352,26 @@ func (e *Engine) cegisAllPatterns(comps []*sem.Instr, goal *sem.Instr, budget in
 	}
 	msp := e.obs.Span(e.tid, "multiset",
 		obs.Str("goal", goal.Name), obs.Int("len", int64(len(comps))))
+	var sc *synthCtx
 	// The multiset span's closing labels report how much of the blast
 	// work this enumeration found already cached (the payoff of the
 	// shared term builder / blast cache across multisets).
 	var blastH0, blastM0 int64
-	var spanSolver *smt.Solver
 	defer func() {
 		var hits, misses int64
-		if msp.Active() && spanSolver != nil {
-			h, m := spanSolver.BlastStats()
+		if msp.Active() {
+			h, m := sc.solver.BlastStats()
 			hits, misses = h-blastH0, m-blastM0
 		}
 		msp.End(obs.Int("patterns", int64(len(found))),
 			obs.Int("blast_hits", hits), obs.Int("blast_misses", misses))
 	}()
-	var sc *synthCtx
 	var cache *cexCache
-	if !e.cfg.DisableIncremental {
+	if e.cfg.DisableIncremental {
+		b, s := e.newSolver()
+		sc = &synthCtx{b: b, solver: s}
+		defer e.retireSolver(s)
+	} else {
 		// Share the goal's hash-consed term builder across the whole
 		// multiset enumeration — component semantics instantiated on
 		// the same test-case values are named identically in every
@@ -387,9 +387,9 @@ func (e *Engine) cegisAllPatterns(comps []*sem.Instr, goal *sem.Instr, budget in
 		sc = e.synthCtxFor(goal)
 		cache = e.cexCacheFor(goal)
 		defer sc.solver.Reset()
-		if msp.Active() {
-			blastH0, blastM0 = sc.solver.BlastStats()
-		}
+	}
+	if msp.Active() {
+		blastH0, blastM0 = sc.solver.BlastStats()
 	}
 	en, err := newEnc(e.cfg, goal, comps, sc)
 	if err != nil {
@@ -398,10 +398,6 @@ func (e *Engine) cegisAllPatterns(comps []*sem.Instr, goal *sem.Instr, budget in
 			return nil, nil // unrealizable multiset: zero patterns
 		}
 		return nil, err
-	}
-	spanSolver = en.solver
-	if sc == nil {
-		defer e.retireSynth(en.solver)
 	}
 	en.addWitness()
 	// "asserted" tracks which test-case values this encoding already
@@ -571,32 +567,22 @@ type Result struct {
 }
 
 // Synthesize runs iterative CEGIS (Algorithm 2) for one goal: it
-// enumerates component multisets in ascending total cycle cost
-// (size-major under Config.DisableCostAware) and returns all patterns
-// of the first successful cost band (the minimal size level under the
-// ablation). A deadline abort is reported as an error wrapping
+// walks the component multisets in ascending total cycle cost (in size
+// order under Config.DisableCostAware) and returns all patterns of the
+// first band that yields any, a band being one cost (one size under
+// the ablation). A deadline abort is reported as an error wrapping
 // ErrDeadline (classify with errors.Is).
 func (e *Engine) Synthesize(goal *sem.Instr) (*Result, error) {
-	if e.cfg.DisableCostAware {
-		return e.runGoal(goal, "minimal", e.synthesizeMinimal)
-	}
-	return e.runGoal(goal, "minimal", func(g *sem.Instr) (*Result, error) {
-		return e.synthesizeCostOrdered(g, false)
-	})
+	return e.runGoal(goal, "minimal", false)
 }
 
-// SynthesizeAllSizes is like Synthesize but keeps enumerating more
+// SynthesizeAllSizes is like Synthesize but keeps walking more
 // expensive multisets up to MaxLen instead of stopping at the first
-// successful cost band, aggregating every pattern found (the "full
-// setup" behaviour). Cost-aware mode skips dominated multisets;
+// band that yields patterns, aggregating every pattern found (the
+// "full setup" behaviour). Cost-aware mode skips dominated multisets;
 // Config.DisableCostAware restores the exhaustive enumeration.
 func (e *Engine) SynthesizeAllSizes(goal *sem.Instr) (*Result, error) {
-	if e.cfg.DisableCostAware {
-		return e.runGoal(goal, "all-sizes", e.synthesizeAllSizes)
-	}
-	return e.runGoal(goal, "all-sizes", func(g *sem.Instr) (*Result, error) {
-		return e.synthesizeCostOrdered(g, true)
-	})
+	return e.runGoal(goal, "all-sizes", true)
 }
 
 // runGoal brackets one goal synthesis with a trace timeline and span,
@@ -606,7 +592,7 @@ func (e *Engine) SynthesizeAllSizes(goal *sem.Instr) (*Result, error) {
 // engine's panic boundary: a panic anywhere in the synthesis loop is
 // converted to an error wrapping ErrInternal (with the stack attached)
 // so the driver can quarantine the goal instead of crashing the run.
-func (e *Engine) runGoal(goal *sem.Instr, mode string, f func(*sem.Instr) (*Result, error)) (res *Result, err error) {
+func (e *Engine) runGoal(goal *sem.Instr, mode string, allSizes bool) (res *Result, err error) {
 	if e.faults.Active(failpoint.CegisGoalDeadline) {
 		return &Result{Goal: goal},
 			fmt.Errorf("cegis: goal %s: %w", goal.Name, ErrDeadline)
@@ -626,7 +612,7 @@ func (e *Engine) runGoal(goal *sem.Instr, mode string, f func(*sem.Instr) (*Resu
 					goal.Name, ErrInternal, r, debug.Stack())
 			}
 		}()
-		res, err = f(goal)
+		res, err = e.synthesize(goal, allSizes)
 	}()
 	if res == nil {
 		res = &Result{Goal: goal}
@@ -646,110 +632,6 @@ func (e *Engine) runGoal(goal *sem.Instr, mode string, f func(*sem.Instr) (*Resu
 	}
 	e.obs.Event(obs.LevelDebug, "cegis.goal.done", doneTags...)
 	return res, err
-}
-
-func (e *Engine) synthesizeMinimal(goal *sem.Instr) (*Result, error) {
-	start := time.Now()
-	res := &Result{Goal: goal}
-
-	required := e.requiredMemOps(goal)
-
-	for l := 0; l <= e.cfg.MaxLen; l++ {
-		if e.deadlineExceeded() {
-			return res, ErrDeadline
-		}
-		free := l - len(required)
-		if free < 0 {
-			continue
-		}
-		perLevel, err := e.synthesizeLevel(goal, required, free, e.cfg.MaxPatternsPerGoal)
-		if err != nil {
-			res.Patterns = append(res.Patterns, perLevel...)
-			if len(perLevel) > 0 {
-				res.MinLen = l
-			}
-			res.Elapsed = time.Since(start)
-			return res, err
-		}
-		if len(perLevel) > 0 {
-			res.Patterns = perLevel
-			res.MinLen = l
-			break
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-func (e *Engine) synthesizeAllSizes(goal *sem.Instr) (*Result, error) {
-	start := time.Now()
-	res := &Result{Goal: goal, MinLen: -1}
-	required := e.requiredMemOps(goal)
-	for l := 0; l <= e.cfg.MaxLen; l++ {
-		if e.deadlineExceeded() {
-			res.Elapsed = time.Since(start)
-			return res, ErrDeadline
-		}
-		free := l - len(required)
-		if free < 0 {
-			continue
-		}
-		rem := 0
-		if e.cfg.MaxPatternsPerGoal > 0 {
-			rem = e.cfg.MaxPatternsPerGoal - len(res.Patterns)
-			if rem <= 0 {
-				break
-			}
-		}
-		perLevel, err := e.synthesizeLevel(goal, required, free, rem)
-		res.Patterns = append(res.Patterns, perLevel...)
-		if len(perLevel) > 0 && res.MinLen < 0 {
-			res.MinLen = l
-		}
-		if err != nil {
-			res.Elapsed = time.Since(start)
-			return res, err
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// synthesizeLevel runs CEGISAllPatterns over every multiset formed by
-// the required ops plus a free ℓ-multicombination of the op set,
-// stopping once the remaining per-goal pattern budget is exhausted
-// (budget ≤ 0 means unlimited).
-func (e *Engine) synthesizeLevel(goal *sem.Instr, required []*sem.Instr, free, budget int) ([]pattern.Pattern, error) {
-	var out []pattern.Pattern
-	iter := newMulticombinations(len(e.ops), free)
-	for iter.next() {
-		if e.deadlineExceeded() {
-			return out, ErrDeadline
-		}
-		rem := 0
-		if budget > 0 {
-			rem = budget - len(out)
-			if rem <= 0 {
-				return out, nil
-			}
-		}
-		comps := append([]*sem.Instr{}, required...)
-		for _, idx := range iter.current() {
-			comps = append(comps, e.ops[idx])
-		}
-		if !e.cfg.DisablePruning && e.skipMultiset(goal, comps) {
-			continue
-		}
-		if m := e.cfg.MaxPatternsPerMultiset; m > 0 && (rem == 0 || m < rem) {
-			rem = m
-		}
-		ps, err := e.cegisAllPatterns(comps, goal, rem)
-		out = append(out, ps...)
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 // requiredMemOps implements the §5.4 refinement: decide by SMT query
@@ -807,10 +689,7 @@ func (e *Engine) AnalyzeMemoryNeeds(goal *sem.Instr) (needLoad, needStore bool) 
 	}
 
 	check := func(flags bool) bool {
-		b := bv.NewBuilder()
-		solver := smt.NewSolver(b)
-		solver.Obs = e.obs
-		solver.Faults = e.faults
+		b, solver := e.newSolver()
 		defer e.retireSolver(solver)
 		ctx := &sem.Ctx{B: b, Width: e.cfg.Width}
 		va := make([]*bv.Term, len(goal.Args))

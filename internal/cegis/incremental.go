@@ -31,18 +31,27 @@ type verifier struct {
 	goalResults []*bv.Term
 }
 
+// newSolver returns a fresh builder and solver wired to the engine's
+// simplifier setting, tracer and failpoints. Every solver the engine
+// uses is built here.
+func (e *Engine) newSolver() (*bv.Builder, *smt.Solver) {
+	b := bv.NewBuilder()
+	b.Simplify = !e.cfg.DisableTermSimplify
+	s := smt.NewSolver(b)
+	s.Obs = e.obs
+	s.Faults = e.faults
+	return b, s
+}
+
 // newVerifier builds the verification world for a goal on a fresh
 // builder/solver pair.
 func (e *Engine) newVerifier(goal *sem.Instr) *verifier {
-	b := bv.NewBuilder()
-	b.Simplify = !e.cfg.DisableTermSimplify
+	b, solver := e.newSolver()
 	v := &verifier{
 		b:      b,
-		solver: smt.NewSolver(b),
+		solver: solver,
 		ctx:    &sem.Ctx{B: b, Width: e.cfg.Width},
 	}
-	v.solver.Obs = e.obs
-	v.solver.Faults = e.faults
 	// The verification world (goal semantics, memory model) is blasted
 	// lazily under the first candidate's frame, so a garbage-collection
 	// rebuild makes the next candidate re-blast all of it. Give the
@@ -156,14 +165,16 @@ func (v *verifier) check(e *Engine, goal *sem.Instr) (cex []uint64, ok bool, err
 	return nil, false, fmt.Errorf("cegis: verification unknown for %s", goal.Name)
 }
 
-// synthCtx is one goal's persistent synthesis context: a single
-// hash-consed term builder shared by every multiset's encoding, over
-// one smt.Solver whose SAT core is Reset between multisets (terms and
-// statistics survive the reset). Value variables are named
-// multiset-independently so shared subcircuits hash-cons to the same
-// terms (see enc.instantiate), while structure variables get a unique
+// synthCtx is the builder/solver pair a multiset is encoded into. The
+// incremental pipeline keeps one per goal: a single hash-consed term
+// builder shared by every multiset's encoding, over one smt.Solver
+// whose SAT core is Reset between multisets (terms and statistics
+// survive the reset). Value variables are named multiset-independently
+// so shared subcircuits hash-cons to the same terms (see
+// enc.instantiate), while structure variables get a unique
 // per-encoding prefix (nextEnc) so distinct multisets never collide on
-// selector sorts. See DESIGN.md ("Incremental solving").
+// selector sorts. The non-incremental pipeline builds a fresh one per
+// multiset. See DESIGN.md ("Incremental solving").
 type synthCtx struct {
 	b       *bv.Builder
 	solver  *smt.Solver
@@ -173,11 +184,8 @@ type synthCtx struct {
 func (e *Engine) synthCtxFor(goal *sem.Instr) *synthCtx {
 	sc := e.synths[goal]
 	if sc == nil {
-		b := bv.NewBuilder()
-		b.Simplify = !e.cfg.DisableTermSimplify
-		sc = &synthCtx{b: b, solver: smt.NewSolver(b)}
-		sc.solver.Obs = e.obs
-		sc.solver.Faults = e.faults
+		b, solver := e.newSolver()
+		sc = &synthCtx{b: b, solver: solver}
 		e.synths[goal] = sc
 		e.liveSolvers = append(e.liveSolvers, sc.solver)
 	}
@@ -292,9 +300,6 @@ func (st *SolverStats) absorb(s *smt.Solver) {
 // before the solver is dropped.
 func (e *Engine) retireSolver(s *smt.Solver) { e.retired.absorb(s) }
 
-func (e *Engine) retireSynth(s *smt.Solver)  { e.retiredSynth.absorb(s); e.retired.absorb(s) }
-func (e *Engine) retireVerify(s *smt.Solver) { e.retiredVerify.absorb(s); e.retired.absorb(s) }
-
 // SolverStats reports the engine's aggregate solver effort so far.
 func (e *Engine) SolverStats() SolverStats {
 	out := e.retired
@@ -302,18 +307,4 @@ func (e *Engine) SolverStats() SolverStats {
 		out.absorb(s)
 	}
 	return out
-}
-
-// SplitSolverStats reports the persistent synthesis- and
-// verification-side solver effort separately (transient solvers are in
-// neither bucket; SolverStats has the total).
-func (e *Engine) SplitSolverStats() (synth, verify SolverStats) {
-	synth, verify = e.retiredSynth, e.retiredVerify
-	for _, sc := range e.synths {
-		synth.absorb(sc.solver)
-	}
-	for _, v := range e.verifiers {
-		verify.absorb(v.solver)
-	}
-	return
 }

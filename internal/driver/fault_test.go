@@ -128,18 +128,18 @@ func TestRetryLadderRecovers(t *testing.T) {
 }
 
 // TestRetryLadderShape pins the attempt sequence: rung 0 is the
-// configured budget, rung 1 doubles the timeout, rung 2 quadruples it
-// and falls back to classical CEGIS, and deeper rungs repeat rung 2.
+// configured budget, rung 1 doubles the timeout, rung 2 quadruples it,
+// and deeper rungs repeat rung 2.
 func TestRetryLadderShape(t *testing.T) {
 	const T = time.Minute
 	for _, tc := range []struct {
 		retries int
 		timeout time.Duration
-		want    []Rung
+		want    []time.Duration
 	}{
-		{0, T, []Rung{{T, false}, {2 * T, false}, {4 * T, true}}},
-		{3, T, []Rung{{T, false}, {2 * T, false}, {4 * T, true}, {4 * T, true}}},
-		{0, 0, []Rung{{0, false}, {0, false}, {0, true}}},
+		{0, T, []time.Duration{T, 2 * T, 4 * T}},
+		{3, T, []time.Duration{T, 2 * T, 4 * T, 4 * T}},
+		{0, 0, []time.Duration{0, 0, 0}},
 	} {
 		if got := Ladder(Options{MaxRetries: tc.retries, PerGoalTimeout: tc.timeout}); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("MaxRetries %d, timeout %v: ladder %+v, want %+v", tc.retries, tc.timeout, got, tc.want)

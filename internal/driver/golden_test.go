@@ -1,6 +1,9 @@
 package driver
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -93,6 +96,51 @@ func TestGoldenQuickstartLibraries(t *testing.T) {
 			if !wantSet[k] {
 				t.Errorf("%s: new rule not in golden: %s", name, k)
 			}
+		}
+	}
+}
+
+// exhaustiveQuickSHA256 holds the sha256 of the quick library each
+// target's selgen writes with -cost-aware=false, recorded when the
+// ablation still ran its own size-major loops.
+var exhaustiveQuickSHA256 = map[string]string{
+	"x86":   "cc1b40e7dc64619d87da553bbc5f7e5a7cf315a9e907e94a1f30f94c8bf038a6",
+	"riscv": "73e03ef4deb9d7a15563c28e019d628d634b7fad6cda6553478113f7bb4c0ea1",
+}
+
+// TestExhaustiveQuickstartLibraries pins the cost-awareness ablation
+// (E8) byte for byte: its walk visits the multisets in size order,
+// stops at the first size that yields rules and skips nothing as
+// dominated, so it must keep writing the libraries the size-major
+// search wrote.
+func TestExhaustiveQuickstartLibraries(t *testing.T) {
+	for _, name := range target.Names() {
+		want, ok := exhaustiveQuickSHA256[name]
+		if !ok {
+			t.Errorf("%s: no pinned hash", name)
+			continue
+		}
+		groups, err := SetupFor(name, "quick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// cmd/selgen's default flags with -cost-aware=false.
+		lib, _, err := Run(groups, Options{
+			Target: name, Width: 8, Seed: 1,
+			MaxPatternsPerGoal: 64,
+			PerGoalTimeout:     5 * time.Minute,
+			DisableCostAware:   true,
+		})
+		if err != nil {
+			t.Fatalf("%s: synthesis: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := lib.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: exhaustive quick library sha256 %s, want %s (%d rules)", name, got, want, len(lib.Rules))
 		}
 	}
 }

@@ -1,11 +1,11 @@
 // Per-goal fault tolerance: the retry ladder, the panic quarantine, and
 // the error classification that decides between them. A goal that blows
-// its budget (deadline, SMT conflict budget) is retried with escalating
-// resources — a longer timeout, finally the classical non-incremental
-// pipeline — while a goal that hits a bug (a panic anywhere below the
-// driver, an internal solver error) is quarantined: recorded with its
-// stack, reported, and skipped, so one broken goal never kills a whole
-// library run.
+// its budget (deadline, SMT conflict budget) is retried with a longer
+// timeout on the same pipeline, so a goal that finishes on any rung
+// writes the same rules, while a goal that hits a bug (a panic anywhere
+// below the driver, an internal solver error) is quarantined: recorded
+// with its stack, reported, and skipped, so one broken goal never kills
+// a whole library run.
 
 package driver
 
@@ -75,35 +75,20 @@ var ErrGoalPanic = errors.New("driver: goal panicked")
 // DefaultRetries is the ladder depth used when Options.MaxRetries is 0.
 const DefaultRetries = 2
 
-// Rung is one step of the retry ladder: the resources granted to one
-// synthesis attempt.
-type Rung struct {
-	// Timeout is the attempt's wall-clock budget (0 = none).
-	Timeout time.Duration
-	// Classical reverts to the non-incremental CEGIS pipeline — fresh
-	// solver state per multiset and per query — trading speed for
-	// minimal shared state, the last resort when incremental runs keep
-	// blowing the budget.
-	Classical bool
-}
-
-// Ladder returns the attempt sequence one goal runs under opts. Rung 0
-// is the configured budget (PerGoalTimeout); rung 1 doubles the
-// timeout; rung 2 quadruples the timeout (the cap) and falls back to
-// classical CEGIS; deeper ladders (MaxRetries) repeat the rung-2 shape.
-// The farm coordinator derives each lease's deadline from it.
-func Ladder(opts Options) []Rung {
-	base := Rung{Timeout: opts.PerGoalTimeout}
+// Ladder returns the timeouts of the attempts one goal runs under
+// opts, one per rung. Rung 0 is the configured budget
+// (PerGoalTimeout); rung 1 doubles it; rung 2 quadruples it (the cap),
+// and deeper ladders (MaxRetries) repeat rung 2. Every rung runs the
+// same pipeline. The farm coordinator derives each lease's deadline
+// from it.
+func Ladder(opts Options) []time.Duration {
 	retries := opts.MaxRetries
 	if retries == 0 {
 		retries = DefaultRetries
 	}
-	rungs := []Rung{base}
+	rungs := []time.Duration{opts.PerGoalTimeout}
 	for i := 1; i <= retries; i++ {
-		rungs = append(rungs, Rung{
-			Timeout:   base.Timeout * time.Duration(1<<min(i, 2)),
-			Classical: i >= 2,
-		})
+		rungs = append(rungs, opts.PerGoalTimeout*time.Duration(1<<min(i, 2)))
 	}
 	return rungs
 }
@@ -150,13 +135,13 @@ func replayed(rec journal.GoalRecord) goalOut {
 func (g *GoalRunner) synthesizeWithRetries(grp Group, key string, goal *sem.Instr, goalOps []*sem.Instr, perGoal int) goalOut {
 	rungs := Ladder(g.opts)
 	var out goalOut
-	for ai, rg := range rungs {
+	for ai, timeout := range rungs {
 		var live *cegis.LiveStats
 		if g.opts.State != nil {
 			live = new(cegis.LiveStats)
 		}
 		g.opts.State.startAttempt(key, ai, live)
-		res, effort, err := g.attemptGoal(grp, goal, goalOps, perGoal, rg, live)
+		res, effort, err := g.attemptGoal(grp, goal, goalOps, perGoal, timeout, live)
 		out.effort.add(effort)
 		out.attempts = ai + 1
 		out.res, out.err = res, err
@@ -195,11 +180,11 @@ func (g *GoalRunner) synthesizeWithRetries(grp Group, key string, goal *sem.Inst
 	return out
 }
 
-// attemptGoal runs one synthesis attempt under the rung's budget. It is
+// attemptGoal runs one synthesis attempt under the rung's timeout. It is
 // the driver's panic boundary: whatever escapes the engine (or the
 // engine construction itself) is converted to an error wrapping
 // ErrGoalPanic, with the stack attached for the quarantine report.
-func (g *GoalRunner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, perGoal int, rg Rung, live *cegis.LiveStats) (res *cegis.Result, effort SolverEffort, err error) {
+func (g *GoalRunner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Instr, perGoal int, timeout time.Duration, live *cegis.LiveStats) (res *cegis.Result, effort SolverEffort, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			g.tr.Add("driver.goal_panics", 1)
@@ -218,14 +203,13 @@ func (g *GoalRunner) attemptGoal(grp Group, goal *sem.Instr, goalOps []*sem.Inst
 		MaxPatternsPerMultiset: grp.MaxPatternsPerMultiset,
 		FreezeArgWitnesses:     grp.FreezeArgWitnesses,
 		Seed:                   g.opts.Seed,
-		DisableIncremental:     rg.Classical,
 		DisableCostAware:       g.opts.DisableCostAware,
 		Obs:                    g.tr,
 		Live:                   live,
 		Faults:                 g.opts.Faults,
 	}
-	if rg.Timeout > 0 {
-		cfg.Deadline = time.Now().Add(rg.Timeout)
+	if timeout > 0 {
+		cfg.Deadline = time.Now().Add(timeout)
 	}
 	e := cegis.New(goalOps, cfg)
 	// Registered after the engine exists, so an attempt that panics

@@ -62,9 +62,9 @@ const (
 	// coordinator after a durable lease or quarantine record.
 	JournalKill = "journal.kill"
 	// FarmLeaseGrant drops a coordinator lease response on the floor
-	// after it is recorded: the worker never sees the grant, so the
-	// lease sits idle until its deadline and exercises the expiry →
-	// reclaim → reassign path deterministically.
+	// after it is recorded: the worker never sees the grant and polls
+	// again, which reclaims the lease, so it exercises the reclaim →
+	// reassign path deterministically.
 	FarmLeaseGrant = "farm.lease.grant"
 	// FarmWorkerSpawn fails a coordinator worker spawn (counted against
 	// the respawn budget, like any crashed worker).

@@ -86,9 +86,6 @@ type Config struct {
 	// Heartbeat is the telemetry scrape interval (0 = heartbeat off).
 	// stallScrapes consecutive failed scrapes condemn a worker.
 	Heartbeat time.Duration
-	// MaxRespawns bounds worker respawns across the run (default
-	// 2 + 2×Workers); past it, a crash is fatal rather than healed.
-	MaxRespawns int
 	// Resume rebuilds the lease table from Dir's shards and coordinator
 	// journal instead of starting fresh.
 	Resume bool
@@ -143,6 +140,10 @@ const stallScrapes = 3
 // budget degrades on the worker's retry ladder within one lease.
 const maxAttempts = 4
 
+// maxRespawns is the run's worker respawn budget; past it, a crash is
+// fatal rather than healed.
+func maxRespawns(workers int) int { return 2 + 2*workers }
+
 // pollInterval is how long an idle worker waits before asking again.
 const pollInterval = time.Second
 
@@ -153,8 +154,8 @@ const pollInterval = time.Second
 // sets no per-goal timeout.
 func leaseDeadline(opts driver.Options) time.Duration {
 	var total time.Duration
-	for _, r := range driver.Ladder(opts) {
-		total += r.Timeout
+	for _, timeout := range driver.Ladder(opts) {
+		total += timeout
 	}
 	return 2 * total
 }
@@ -238,9 +239,6 @@ func Run(cfg Config) (*pattern.Library, *Report, error) {
 	}
 	if cfg.Opts.Journal != nil || cfg.Opts.Resume != nil || cfg.Opts.Stop != nil {
 		return nil, nil, errors.New("farm: Opts.Journal/Resume/Stop are owned by the farm; leave them nil")
-	}
-	if cfg.MaxRespawns <= 0 {
-		cfg.MaxRespawns = 2 + 2*cfg.Workers
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New()
@@ -528,7 +526,7 @@ func (c *coordinator) noteSpawnFailureLocked(id int, url string, err error) {
 	c.tr.Eventf(obs.LevelWarn, "farm.worker.spawn_failed",
 		[]obs.Arg{obs.Int("worker", int64(id)), obs.Str("error", err.Error())},
 		"farm: worker %d spawn failed: %v\n", id, err)
-	if c.respawns >= c.cfg.MaxRespawns {
+	if c.respawns >= maxRespawns(c.cfg.Workers) {
 		return
 	}
 	c.respawns++
@@ -568,7 +566,7 @@ func (c *coordinator) workerExited(id, gen int, url string, err error) {
 	if c.remaining == 0 {
 		return
 	}
-	if c.respawns >= c.cfg.MaxRespawns {
+	if c.respawns >= maxRespawns(c.cfg.Workers) {
 		alive := 0
 		for _, w := range c.workers {
 			if w.handle != nil {
@@ -577,7 +575,7 @@ func (c *coordinator) workerExited(id, gen int, url string, err error) {
 		}
 		if alive == 0 {
 			c.fail(fmt.Errorf("farm: respawn budget (%d) exhausted with %d goal(s) remaining",
-				c.cfg.MaxRespawns, c.remaining))
+				maxRespawns(c.cfg.Workers), c.remaining))
 		}
 		return
 	}

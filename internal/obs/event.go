@@ -88,7 +88,7 @@ func (t *Tracer) SetEventSink(w io.Writer, min Level) {
 // Event records a structured event with no human-readable message: it
 // reaches the JSONL sink and the trace, but not the progress writer.
 func (t *Tracer) Event(level Level, name string, tags ...Arg) {
-	t.eventf(level, name, tags, "")
+	t.Eventf(level, name, tags, "")
 }
 
 // Eventf records a structured event with a human-readable message.
@@ -97,10 +97,6 @@ func (t *Tracer) Event(level Level, name string, tags ...Arg) {
 // time) goes to the progress writer; and, when tracing is enabled, an
 // instant trace event is recorded. A nil Tracer no-ops.
 func (t *Tracer) Eventf(level Level, name string, tags []Arg, format string, a ...any) {
-	t.eventf(level, name, tags, format, a...)
-}
-
-func (t *Tracer) eventf(level Level, name string, tags []Arg, format string, a ...any) {
 	if t == nil {
 		return
 	}

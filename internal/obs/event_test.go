@@ -141,8 +141,8 @@ func TestProgressfElapsedPrefix(t *testing.T) {
 	tr := New()
 	var buf bytes.Buffer
 	tr.SetProgress(&buf)
-	tr.Progressf("first\n")
-	tr.Progressf("second\n")
+	tr.Eventf(LevelInfo, "progress", nil, "first\n")
+	tr.Eventf(LevelInfo, "progress", nil, "second\n")
 	re := regexp.MustCompile(`^\[\+ *\d+\.\d{3}s\] `)
 	lines := strings.SplitAfter(buf.String(), "\n")
 	var stamps []string

@@ -20,9 +20,9 @@
 //     report tables.
 //
 // Progress lines (the driver's per-goal reporting) also route through
-// the Tracer: Progressf writes to the attached writer and records an
-// instant event in the trace, so a trace file tells the same story as
-// the terminal output.
+// the Tracer: Eventf (event.go) writes an event's message to the
+// attached progress writer and records an instant event in the trace,
+// so a trace file tells the same story as the terminal output.
 package obs
 
 import (
@@ -106,7 +106,8 @@ func (t *Tracer) EnableTrace() {
 	t.trace.Store(true)
 }
 
-// SetProgress attaches a writer that receives Progressf lines.
+// SetProgress attaches a writer that receives the messages of Eventf
+// events.
 func (t *Tracer) SetProgress(w io.Writer) {
 	if t == nil {
 		return
@@ -222,18 +223,6 @@ func (t *Tracer) Instant(tid int64, name string, args ...Arg) {
 		args:    args,
 	})
 	t.mu.Unlock()
-}
-
-// Progressf writes a formatted line to the attached progress writer
-// (if any), prefixed with the run's monotonic elapsed time so
-// interleaved goal-parallel output stays orderable, and records it as
-// an instant trace event (and a structured "progress" event when an
-// event sink is attached) — progress reporting, the event log, and
-// the trace share one path. Instrumentation sites that can tag their
-// events should prefer Eventf (event.go); Progressf is the untagged
-// fallback.
-func (t *Tracer) Progressf(format string, a ...any) {
-	t.eventf(LevelInfo, "progress", nil, format, a...)
 }
 
 // NumEvents reports how many trace events have been recorded.

@@ -14,7 +14,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 	tr.SetProgress(&bytes.Buffer{})
 	tr.Add("c", 1)
 	tr.Observe("h", 1)
-	tr.Progressf("hello %d\n", 1)
+	tr.Eventf(LevelInfo, "progress", nil, "hello %d\n", 1)
 	tr.Instant(0, "i")
 	if tr.NewTID("x") != 0 {
 		t.Fatalf("nil tracer TID must be 0")
@@ -175,11 +175,13 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 }
 
+// TestProgressf: an Eventf message reaches the progress writer, and
+// becomes an instant trace event once tracing is on.
 func TestProgressf(t *testing.T) {
 	tr := New()
 	var buf bytes.Buffer
 	tr.SetProgress(&buf)
-	tr.Progressf("  %-10s %d patterns\n", "add", 3)
+	tr.Eventf(LevelInfo, "progress", nil, "  %-10s %d patterns\n", "add", 3)
 	if !strings.Contains(buf.String(), "add") || !strings.Contains(buf.String(), "3 patterns") {
 		t.Fatalf("progress line: %q", buf.String())
 	}
@@ -187,7 +189,7 @@ func TestProgressf(t *testing.T) {
 		t.Fatalf("progress must not record events with tracing off")
 	}
 	tr.EnableTrace()
-	tr.Progressf("next\n")
+	tr.Eventf(LevelInfo, "progress", nil, "next\n")
 	if tr.NumEvents() != 1 {
 		t.Fatalf("progress must record an instant event with tracing on")
 	}

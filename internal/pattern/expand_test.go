@@ -55,33 +55,6 @@ func TestExpandNonCommutativeUntouched(t *testing.T) {
 	}
 }
 
-func TestIsNormalizedAndFilter(t *testing.T) {
-	// Add(a0, a0) is not normalized.
-	dbl := Pattern{
-		ArgKinds: []sem.Kind{sem.KindValue},
-		Nodes: []Node{{Op: "Add", Args: []ValueRef{
-			{Kind: RefArg, Index: 0}, {Kind: RefArg, Index: 0},
-		}}},
-		Results: []ValueRef{{Kind: RefNode, Index: 0}},
-	}
-	if dbl.IsNormalized() {
-		t.Fatalf("Add(x,x) must not be normalized")
-	}
-	ok := andnPattern()
-	if !ok.IsNormalized() {
-		t.Fatalf("andn pattern is normalized")
-	}
-	lib := &Library{Width: 8}
-	lib.Add(Rule{Goal: "a", Pattern: dbl})
-	lib.Add(Rule{Goal: "b", Pattern: ok})
-	if dropped := lib.FilterNormalized(); dropped != 1 {
-		t.Fatalf("dropped %d, want 1", dropped)
-	}
-	if len(lib.Rules) != 1 || lib.Rules[0].Goal != "b" {
-		t.Fatalf("wrong rule kept")
-	}
-}
-
 func TestSortPrefersImmediateBinders(t *testing.T) {
 	reg := Pattern{
 		ArgKinds: []sem.Kind{sem.KindValue, sem.KindValue},

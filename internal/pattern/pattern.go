@@ -278,16 +278,6 @@ type Library struct {
 // Add appends a rule.
 func (l *Library) Add(r Rule) { l.Rules = append(l.Rules, r) }
 
-// Merge aggregates another library's rules (e.g. from a parallel
-// synthesizer run, §5.5). Widths must match.
-func (l *Library) Merge(other *Library) error {
-	if other.Width != l.Width {
-		return fmt.Errorf("pattern: merging libraries of widths %d and %d", l.Width, other.Width)
-	}
-	l.Rules = append(l.Rules, other.Rules...)
-	return nil
-}
-
 // Dedup removes duplicated patterns per goal (commutative mirror images
 // and repeats from aggregated runs). The survivor keeps the first
 // occurrence's position but is the lowest-cost duplicate, with the
@@ -443,40 +433,6 @@ func commutativeVariants(p Pattern) []Pattern {
 		out = append(out, v)
 	}
 	return out
-}
-
-// IsNormalized reports whether the pattern is in IR normal form: no
-// operation has two identical argument references (a canonicalizing
-// compiler folds x+x, x&x, x^x, … before instruction selection, so
-// such patterns never occur in its IR).
-func (p *Pattern) IsNormalized() bool {
-	for _, n := range p.Nodes {
-		for i := 0; i < len(n.Args); i++ {
-			for j := i + 1; j < len(n.Args); j++ {
-				if n.Args[i] == n.Args[j] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// FilterNormalized removes non-normalized patterns (the code
-// generator's first filtering step, §5.6 / Algorithm 1). It reports how
-// many rules were dropped.
-func (l *Library) FilterNormalized() int {
-	kept := l.Rules[:0]
-	dropped := 0
-	for _, r := range l.Rules {
-		if r.Pattern.IsNormalized() {
-			kept = append(kept, r)
-		} else {
-			dropped++
-		}
-	}
-	l.Rules = kept
-	return dropped
 }
 
 // SortBySpecificity orders rules from more specific to less specific

@@ -160,7 +160,7 @@ func TestCanonCommutative(t *testing.T) {
 	}
 }
 
-func TestLibraryDedupMergeSort(t *testing.T) {
+func TestLibraryDedupSort(t *testing.T) {
 	lib := &Library{Width: w}
 	small := Rule{Goal: "andn", GoalCost: 1, Pattern: Pattern{
 		ArgKinds: []sem.Kind{sem.KindValue, sem.KindValue},
@@ -171,12 +171,7 @@ func TestLibraryDedupMergeSort(t *testing.T) {
 	lib.Add(small)
 	lib.Add(big)
 	lib.Add(big) // duplicate
-
-	other := &Library{Width: w}
-	other.Add(big) // duplicate via merge
-	if err := lib.Merge(other); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
+	lib.Add(big) // duplicate
 	if dropped := lib.Dedup(); dropped != 2 {
 		t.Fatalf("dedup dropped %d, want 2", dropped)
 	}
@@ -192,12 +187,6 @@ func TestLibraryDedupMergeSort(t *testing.T) {
 	}
 	if lib.MaxPatternSize() != 2 {
 		t.Fatalf("MaxPatternSize: %d", lib.MaxPatternSize())
-	}
-
-	// Width mismatch on merge.
-	bad := &Library{Width: 16}
-	if err := lib.Merge(bad); err == nil {
-		t.Fatalf("width mismatch must fail")
 	}
 }
 

@@ -109,13 +109,20 @@ cmp "$tmpdir/resumed.json" "$tmpdir/uninterrupted.json" || {
 # its 2nd shard append is durable; the coordinator reclaims its lease,
 # respawns it, and the respawn crash-recovers the shard). The merged
 # library must be byte-identical to the single-process golden — the
-# farm's core guarantee, exercised across real process boundaries.
+# farm's core guarantee, exercised across real process boundaries. The
+# run also writes an -events log under -v: the progress lines -v prints
+# must not replace the event log, so the log must hold farm.done.
 go build -o "$tmpdir/selfarm" ./cmd/selfarm
 "$tmpdir/selfarm" -setup quick -timeout 2m -workers 2 \
 	-selgen "$tmpdir/selgen" -dir "$tmpdir/farm" -o "$tmpdir/farmed.json" \
-	-worker-faults journal.kill=hit:2 >/dev/null
+	-worker-faults journal.kill=hit:2 \
+	-events "$tmpdir/farm.jsonl" -v >/dev/null 2>"$tmpdir/farm.stderr"
 cmp "$tmpdir/farmed.json" testdata/goldens/quick_x86.json || {
 	echo "ci.sh: farm-merged library differs from the single-process golden" >&2
+	exit 1
+}
+grep -q '"event":"farm.done"' "$tmpdir/farm.jsonl" || {
+	echo "ci.sh: selfarm -v -events wrote no farm.done event to the event log" >&2
 	exit 1
 }
 
