@@ -489,6 +489,25 @@ func (e *enc) addWitness() {
 	}
 }
 
+// preferStructure makes the synthesis search branch on the program
+// first: the location and attribute variables (pos, sel, osel,
+// internals). Every other variable is one component's circuit on one
+// instantiation, fixed by propagation once the program is chosen. The
+// bump is made once per multiset, after the witness: test cases added
+// later only add circuits, and the conflicts they cause bump the
+// structure variables that matter (see DESIGN.md, "Incremental
+// solving").
+func (e *enc) preferStructure() {
+	e.solver.Prefer(e.pos...)
+	for _, sels := range e.argSels {
+		e.solver.Prefer(sels...)
+	}
+	e.solver.Prefer(e.outSels...)
+	for _, ivs := range e.internals {
+		e.solver.Prefer(ivs...)
+	}
+}
+
 // freshWitnessArgs allocates symbolic goal arguments for one witness
 // instantiation.
 func (e *enc) freshWitnessArgs(base string) []*bv.Term {

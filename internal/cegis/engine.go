@@ -400,6 +400,7 @@ func (e *Engine) cegisAllPatterns(comps []*sem.Instr, goal *sem.Instr, budget in
 		return nil, err
 	}
 	en.addWitness()
+	en.preferStructure()
 	// "asserted" tracks which test-case values this encoding already
 	// constrains, keyed by cexKey.
 	asserted := map[string]bool{}

@@ -268,15 +268,40 @@ func TestWorkerCrashRespawnsAndRecovers(t *testing.T) {
 	}
 
 	// First spawn of worker 0 dies right after taking (and completing)
-	// one goal; the respawn runs the normal loop.
+	// one goal; the respawn runs the normal loop. The coordinator
+	// respawns a dead worker only while goals remain, so worker 1 holds
+	// off until worker 0 has been respawned: otherwise it could drain
+	// the plan before worker 0's first incarnation dies, or even
+	// leases. Worker 1 waits in its own goroutine, because Spawn runs
+	// under the coordinator's lock.
 	var mu sync.Mutex
 	spawns := make(map[int]int)
+	zeroBack := make(chan struct{})
 	inner := inprocSpawner(groups, opts, hdr)
 	spawn := func(id int, coordURL, shard string) (Handle, error) {
 		mu.Lock()
 		n := spawns[id]
 		spawns[id]++
 		mu.Unlock()
+		if id == 0 && n == 1 {
+			close(zeroBack)
+		}
+		if id == 1 && n == 0 {
+			h := &goroutineHandle{kill: make(chan struct{}), done: make(chan error, 1)}
+			go func() {
+				select {
+				case <-zeroBack:
+				case <-h.kill:
+					h.done <- nil
+					return
+				}
+				h.done <- RunWorker(WorkerConfig{
+					ID: id, Coord: coordURL, Groups: groups, Opts: opts,
+					Header: hdr, Shard: shard, Stop: h.kill,
+				})
+			}()
+			return h, nil
+		}
 		if id == 0 && n == 0 {
 			h := &goroutineHandle{kill: make(chan struct{}), done: make(chan error, 1)}
 			go func() {

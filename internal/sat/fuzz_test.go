@@ -91,10 +91,66 @@ func solveDecoded(nvars int, clauses [][]Lit) *Solver {
 	return (&cnf{nvars: nvars, clause: clauses}).solver()
 }
 
+// decodeAssumptions derives one or two assumption literals over the
+// CNF's variables from the same fuzz bytes: the data's length parity
+// picks the count, and its last bytes pick the literals the way
+// decodeCNF does. Two assumptions may repeat or contradict each other.
+func decodeAssumptions(data []byte, nvars int) []Lit {
+	n := 1 + len(data)%2
+	out := make([]Lit, 0, n)
+	for k := 0; k < n; k++ {
+		var b byte
+		if k < len(data) {
+			b = data[len(data)-1-k]
+		}
+		code := int(b) % (2 * nvars)
+		out = append(out, MkLit(Var(code/2), code%2 == 1))
+	}
+	return out
+}
+
+// checkSolve solves s under the assumptions and checks the verdict
+// against the oracle on clauses plus one unit clause per assumption,
+// and a Sat model against the same clauses. It then checks the
+// invariant the next Solve relies on: every variable unassigned at
+// level 0 is back in the branching heap, or a later Sat answer could
+// leave it undecided.
+func checkSolve(t *testing.T, s *Solver, nvars int, clauses [][]Lit, assumps ...Lit) {
+	t.Helper()
+	all := clauses[:len(clauses):len(clauses)]
+	for _, a := range assumps {
+		all = append(all, []Lit{a})
+	}
+	want := Sat
+	if !bruteForceSat(nvars, all) {
+		want = Unsat
+	}
+	st, err := s.Solve(Options{}, assumps...)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if st != want {
+		t.Fatalf("verdict %v, oracle says %v (nvars=%d clauses=%v assumptions=%v)", st, want, nvars, clauses, assumps)
+	}
+	if st == Sat && !modelSatisfies(s, all) {
+		t.Fatalf("Sat model violates a clause (nvars=%d clauses=%v assumptions=%v)", nvars, clauses, assumps)
+	}
+	h := &s.order
+	for v := Var(0); int(v) < s.NumVars(); v++ {
+		// Check the heap array itself: stale indices would fool contains.
+		if s.varValue(v) == lUndef && !(h.contains(v) && h.indices[v] < len(h.heap) && h.heap[h.indices[v]] == v) {
+			t.Fatalf("variable %d unassigned at level 0 but not in the branching heap (nvars=%d clauses=%v)", v, nvars, clauses)
+		}
+	}
+}
+
 // FuzzSolver cross-checks the CDCL solver against brute-force
 // enumeration on random small CNFs. Any verdict disagreement, or a Sat
 // model violating a clause, would invalidate every synthesis result
-// built on the solver.
+// built on the solver. Each input is solved once on a fresh solver,
+// then replayed incrementally on a second one, as CEGIS uses it: half
+// the clauses, a Bump, the rest, then a Solve under assumptions, each
+// Solve checked against the oracle.
 func FuzzSolver(f *testing.F) {
 	// A satisfiable 3-var chain, an UNSAT pair, an empty-clause input,
 	// and a pigeonhole-ish crunch; the checked-in corpus under
@@ -105,21 +161,27 @@ func FuzzSolver(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 0xFF, 1, 3, 0xFF, 0, 3, 0xFF, 1, 2, 0xFF, 4, 6, 0xFF, 5, 7, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nvars, clauses := decodeCNF(data)
-		want := Sat
-		if !bruteForceSat(nvars, clauses) {
-			want = Unsat
-		}
+		checkSolve(t, solveDecoded(nvars, clauses), nvars, clauses)
 
-		s := solveDecoded(nvars, clauses)
-		st, err := s.Solve(Options{})
-		if err != nil {
-			t.Fatalf("Solve: %v", err)
+		s := New()
+		for i := 0; i < nvars; i++ {
+			s.NewVar()
 		}
-		if st != want {
-			t.Fatalf("verdict %v, oracle says %v (nvars=%d clauses=%v)", st, want, nvars, clauses)
+		half := len(clauses) / 2
+		add := func(cs [][]Lit) {
+			for _, c := range cs {
+				s.AddClause(c...)
+			}
 		}
-		if st == Sat && !modelSatisfies(s, clauses) {
-			t.Fatalf("Sat model violates a clause (nvars=%d clauses=%v)", nvars, clauses)
+		add(clauses[:half])
+		checkSolve(t, s, nvars, clauses[:half])
+		if len(clauses) > 0 {
+			for _, l := range clauses[0] {
+				s.Bump(l.Var())
+			}
 		}
+		add(clauses[half:])
+		checkSolve(t, s, nvars, clauses)
+		checkSolve(t, s, nvars, clauses, decodeAssumptions(data, nvars)...)
 	})
 }

@@ -539,7 +539,7 @@ func (s *Solver) analyze(conflict int32) ([]Lit, int) {
 				continue
 			}
 			s.seen[v] = 1
-			s.bumpVar(v)
+			s.Bump(v)
 			if s.level[v] >= s.decisionLevel() {
 				counter++
 			} else {
@@ -650,7 +650,11 @@ func (s *Solver) cancelUntil(lvl int) {
 	s.qhead = len(s.trail)
 }
 
-func (s *Solver) bumpVar(v Var) {
+// Bump raises v's VSIDS activity by the current increment, as each
+// conflict does for the variables it involves, so the search branches
+// on v earlier. Callers use it to point the search at a formula's
+// decision variables before the first Solve.
+func (s *Solver) Bump(v Var) {
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
@@ -913,6 +917,15 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			break
 		}
 		if next == -1 {
+			if len(s.trail) == s.NumVars() {
+				// Every variable is assigned: pickBranchVar would pop
+				// each remaining one only to find it assigned. Drop
+				// them all at once instead; the heap ends up empty
+				// either way, so Solve's cancelUntil(0) rebuilds the
+				// same heap.
+				s.order.clear()
+				return Sat
+			}
 			v := s.pickBranchVar()
 			if v == -1 {
 				return Sat
@@ -986,6 +999,15 @@ func (h *varHeap) pop() Var {
 		h.down(0)
 	}
 	return v
+}
+
+// clear removes every variable in O(n), leaving the heap as a pop of
+// each would.
+func (h *varHeap) clear() {
+	for _, v := range h.heap {
+		h.indices[v] = -1
+	}
+	h.heap = h.heap[:0]
 }
 
 func (h *varHeap) up(i int) {

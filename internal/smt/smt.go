@@ -307,6 +307,18 @@ func (s *Solver) Check(opts Options) (res Result, err error) {
 	return Unknown, ErrBudget
 }
 
+// Prefer bumps the SAT activity of every bit of the given variables
+// once, so the next Check branches on them before the rest. The bits
+// are read with VarLits, never blasted: Prefer adds no clause and no
+// blast-cache lookup.
+func (s *Solver) Prefer(vars ...*bv.Term) {
+	for _, v := range vars {
+		for _, l := range s.bb.VarLits(v.Name, v.Sort) {
+			s.s.Bump(l.Var())
+		}
+	}
+}
+
 // BlastStats reports the term-cache hit/miss counts of the underlying
 // bit-blaster.
 func (s *Solver) BlastStats() (hits, misses int64) { return s.bb.Hits, s.bb.Misses }

@@ -47,6 +47,10 @@ go test -run '^(TestSelectAllocs|TestDifferentialSynthesizedLibraries|TestCostAw
 # against exhaustive evaluation, beyond the checked-in corpus the run
 # above replays.
 go test -run '^$' -fuzz '^FuzzCheck$' -fuzztime 15s ./internal/smt
+# The same over the SAT core: random small CNFs solved fresh and then
+# incrementally (a Bump between clause batches, a Solve under
+# assumptions), each answer checked against brute-force enumeration.
+go test -run '^$' -fuzz '^FuzzSolver$' -fuzztime 15s ./internal/sat
 
 # The re-measuring benchmark is a module of its own, so ./... above
 # does not reach its smoke test (every short workload, one iteration).
